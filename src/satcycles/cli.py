@@ -21,16 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AtBifurcationError,
-    BadRegimeError,
-    BracketFailedError,
-    CenterRegimeError,
-    CountUnstableError,
-    NoConvergenceError,
-    OrderViolatedError,
-    ZoneSwitchLimitError,
-)
+from .errors import BadRegimeError, CenterRegimeError, InvariantViolatedError, SatcyclesError
 from .exactflow import TWO_PI, advance, sample
 from .crossings import extract_crossings, residual_3z, residual_direct
 from .melnikov import M_orig, M_shift, Mmu, Mx, bif_values, consistency_identity, zero_set
@@ -40,14 +31,6 @@ from .poincare import classify_regime, displacement_d, find_all_cycles
 __all__ = ["main", "ScanRow", "write_csv", "read_csv"]
 
 _ANALYTIC_REFUSAL = (CenterRegimeError, BadRegimeError)
-_NUMERIC_FAILURE = (
-    NoConvergenceError,
-    CountUnstableError,
-    BracketFailedError,
-    OrderViolatedError,
-    ZoneSwitchLimitError,
-    AtBifurcationError,
-)
 
 _DEFAULTS = {
     "a": None,
@@ -113,6 +96,13 @@ def _three_cycle_bound(p: Params) -> float:
                math.sqrt(p.b_eff**2 + 1.0))
 
 
+def _print_bif_values(p: Params) -> int:
+    bv = bif_values(p)
+    for name in ("c", "mu1", "mu2", "x1"):
+        print(f"{name} = {fmt(getattr(bv, name))}")
+    return 0
+
+
 def cmd_regime(args) -> int:
     p = _params(args)
     regime = classify_regime(p)
@@ -120,21 +110,7 @@ def cmd_regime(args) -> int:
     print(f"detail: {regime.detail}")
     if p.a_eff * p.b_eff < 0.0:
         print(f"three_cycle_bound = {fmt(_three_cycle_bound(p))}")
-        bv = bif_values(p)
-        print(f"c = {fmt(bv.c)}")
-        print(f"mu1 = {fmt(bv.mu1)}")
-        print(f"mu2 = {fmt(bv.mu2)}")
-        print(f"x1 = {fmt(bv.x1)}")
-    return 0
-
-
-def cmd_bifvalues(args) -> int:
-    p = _params(args)
-    bv = bif_values(p)
-    print(f"c = {fmt(bv.c)}")
-    print(f"mu1 = {fmt(bv.mu1)}")
-    print(f"mu2 = {fmt(bv.mu2)}")
-    print(f"x1 = {fmt(bv.x1)}")
+        _print_bif_values(p)
     return 0
 
 
@@ -276,8 +252,9 @@ def cmd_orbit3d(args) -> int:
     for t, x in zip(ts, xs):
         y = -p.mu * math.sin(t)
         z = -p.mu * math.cos(t)
-        if abs(y * y + z * z - p.mu * p.mu) > 1e-12:
-            raise AssertionError("cylinder invariant y^2 + z^2 = mu^2 violated")
+        # y^2 + z^2 rounds to about one ulp of mu^2.
+        if abs(y * y + z * z - p.mu * p.mu) > 1e-12 * max(1.0, p.mu * p.mu):
+            raise InvariantViolatedError("cylinder invariant y^2 + z^2 = mu^2 violated")
         rows.append([fmt(t), fmt(x), fmt(y), fmt(z)])
     if not args.out:
         raise SystemExit("orbit3d requires --out")
@@ -390,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "regime": cmd_regime,
-    "bifvalues": cmd_bifvalues,
+    "bifvalues": lambda args: _print_bif_values(_params(args)),
     "cycles": cmd_cycles,
     "scan": cmd_scan,
     "melnikov": cmd_melnikov,
@@ -408,7 +385,7 @@ def main(argv=None) -> int:
     except _ANALYTIC_REFUSAL as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_FAILURE as exc:
+    except SatcyclesError as exc:  # every other package error is numeric
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

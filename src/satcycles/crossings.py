@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import BracketFailedError, NoConvergenceError, OrderViolatedError
 from .exactflow import INNER, LOWER, TWO_PI, UPPER, advance, linear_zone_flow, transitions, zone_coeffs
+from .gridscan import _bisect
 from .model import Params
 from .poincare import displacement_d
 
@@ -222,31 +223,26 @@ def lambda_of_x(p: Params, x: float) -> float:
     bound = 10.0 * (1.0 + abs(p.a) + abs(p.b) + abs(p.mu))
     side = -1.0 if d0 > 0.0 else 1.0
     delta = bound * 2.0**-50
-    lo_lam, lo_val = 0.0, d0
-    hi_lam = hi_val = None
+    same = 0.0  # last probe with the sign of d0
+    flipped = None
     for _ in range(60):
         lam = side * delta
         val = disp(lam)
         if val == 0.0:
             return lam
         if (val > 0.0) != (d0 > 0.0):
-            hi_lam, hi_val = lam, val
+            flipped = lam
             break
-        lo_lam, lo_val = lam, val
+        same = lam
         if delta >= bound:
             break
         delta = min(2.0 * delta, bound)
-    if hi_lam is None:
+    if flipped is None:
         raise BracketFailedError(
             f"displacement does not change sign for |lam| <= {bound:.3g}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo_lam + hi_lam)
-        val = disp(mid)
-        if abs(val) < 1e-10:
-            return mid
-        if (val > 0.0) == (lo_val > 0.0):
-            lo_lam, lo_val = mid, val
-        else:
-            hi_lam, hi_val = mid, val
-    raise BracketFailedError("bisection in lam stalled above the 1e-10 target")
+    # d < 0 at the smaller end of the bracket, whichever side it grew on.
+    lo, hi = _bisect(disp, min(same, flipped), max(same, flipped), False, 0.0, ftol=1e-10)
+    if lo != hi:
+        raise BracketFailedError("bisection in lam stalled above the 1e-10 target")
+    return lo

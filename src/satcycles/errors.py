@@ -35,3 +35,7 @@ class AtBifurcationError(SatcyclesError):
 
 class ZoneSwitchLimitError(SatcyclesError):
     """The zone-switch safety cap was hit; signals a tolerance pathology."""
+
+
+class InvariantViolatedError(SatcyclesError):
+    """A computed result fails one of its own consistency checks."""

@@ -4,8 +4,7 @@ Inside one linearity zone the equation reduces to x' = p*x + q + mu*sin(t),
 whose solution is elementary.  Trajectories are assembled by chaining that
 closed form between zone-boundary contacts located by a uniform scan plus
 bisection; a contact switches zones only when the flow actually leaves the
-zone (tangential grazes are skipped).  A fixed-step RK4 integrator of the
-continuous right-hand side is provided as an independent oracle for tests.
+zone (tangential grazes are skipped).
 """
 
 from __future__ import annotations
@@ -13,10 +12,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy import ndarray
 
 from .errors import ZoneSwitchLimitError
+from .gridscan import _bisect
 from .model import Params
 
 __all__ = [
@@ -29,9 +31,7 @@ __all__ = [
     "zone_of",
     "zone_coeffs",
     "linear_zone_flow",
-    "first_crossing",
     "advance",
-    "rk4_oracle",
     "sample",
     "transitions",
 ]
@@ -52,6 +52,8 @@ GRAZE_DERIV_TOL = 1e-9
 GRAZE_PROBE_DT = 1e-9
 # An in-zone extremum counts as a boundary contact when this close to the level.
 TOUCH_VALUE_TOL = 1e-12
+# math.exp overflows just below 710; both flow paths saturate to inf from here.
+EXP_SATURATION = 709.0
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,6 @@ class Trajectory:
     a_in_half_measure: float
     final_state: float
 
-    @property
-    def t_start(self) -> float:
-        return self.segments[0].t_start
-
-    @property
-    def t_end(self) -> float:
-        return self.segments[-1].t_end
-
 
 def zone_of(x: float) -> str:
     """Zone membership; |x| = 1 is assigned to the inner zone."""
@@ -113,65 +107,48 @@ def zone_coeffs(p: Params, zone: str) -> ZoneCoeffs:
     raise ValueError(f"unknown zone {zone!r}")
 
 
-def _exp(z: float) -> float:
-    # math.exp raises OverflowError near 710; saturate instead.
-    return math.exp(z) if z < 709.0 else math.inf
+def _exp(z):
+    if type(z) is ndarray:
+        with np.errstate(over="ignore"):
+            return np.where(z < EXP_SATURATION, np.exp(z), math.inf)
+    return math.exp(z) if z < EXP_SATURATION else math.inf
 
 
-def linear_zone_flow(z: ZoneCoeffs, mu: float, tau: float, x: float, t: float) -> float:
-    """Closed-form solution of x' = p*x + q + mu*sin(t) with value x at tau."""
+def linear_zone_flow(z: ZoneCoeffs, mu: float, tau: float, x: float, t):
+    """Closed-form solution of x' = p*x + q + mu*sin(t) with value x at tau.
+
+    ``t`` is a float or an array of times.  Floats stay on ``math``, which
+    is several times cheaper than numpy on scalars; the exact type tests
+    keep the dispatch cheap on this hot path (about 90 calls per advance).
+    """
+    if type(t) is ndarray:
+        cos, sin = np.cos, np.sin
+    else:
+        cos, sin = math.cos, math.sin
     p, q = z.p, z.q
     dt = t - tau
     if abs(p) < P_DEGENERATE:
-        return x + q * dt + mu * (math.cos(tau) - math.cos(t))
+        return x + q * dt + mu * (math.cos(tau) - cos(t))
     e = _exp(p * dt)
     c = p * p + 1.0
     return (
         e * x
         + (q / p) * (e - 1.0)
-        + mu * (e * (p * math.sin(tau) + math.cos(tau)) - (p * math.sin(t) + math.cos(t))) / c
+        + mu * (e * (p * math.sin(tau) + math.cos(tau)) - (p * sin(t) + cos(t))) / c
     )
-
-
-def _flow_grid(z: ZoneCoeffs, mu: float, tau: float, x: float, ts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`linear_zone_flow` over an array of times."""
-    p, q = z.p, z.q
-    dt = ts - tau
-    if abs(p) < P_DEGENERATE:
-        return x + q * dt + mu * (math.cos(tau) - np.cos(ts))
-    with np.errstate(over="ignore"):
-        e = np.exp(p * dt)
-    c = p * p + 1.0
-    return (
-        e * x
-        + (q / p) * (e - 1.0)
-        + mu * (e * (p * math.sin(tau) + math.cos(tau)) - (p * np.sin(ts) + np.cos(ts))) / c
-    )
-
-
-def _flow_deriv(z: ZoneCoeffs, mu: float, t: float, u: float) -> float:
-    return z.p * u + z.q + mu * math.sin(t)
 
 
 def _bisect_contact(z, mu, tau, x, level, lo, hi, g_lo_pos):
     """Refine a bracketed level crossing to CROSSING_TIME_TOL, then polish."""
-    while hi - lo > CROSSING_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        gm = linear_zone_flow(z, mu, tau, x, mid) - level
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm > 0.0) == g_lo_pos:
-            lo = mid
-        else:
-            hi = mid
+    flow = partial(linear_zone_flow, z, mu, tau, x)
+    lo, hi = _bisect(flow, lo, hi, g_lo_pos, CROSSING_TIME_TOL, level=level)
     root = 0.5 * (lo + hi)
     # Newton polish toward machine precision; stay inside the bracket.
     for _ in range(3):
-        g = linear_zone_flow(z, mu, tau, x, root) - level
+        g = flow(root) - level
         if g == 0.0:
             break
-        dg = _flow_deriv(z, mu, root, g + level)
+        dg = z.p * (g + level) + z.q + mu * math.sin(root)
         if dg == 0.0:
             break
         nxt = root - g / dg
@@ -179,23 +156,6 @@ def _bisect_contact(z, mu, tau, x, level, lo, hi, g_lo_pos):
             break
         root = nxt
     return root
-
-
-def _bisect_extremum(z, mu, tau, x, lo, hi, d_lo_pos):
-    """Locate a zero of the flow time-derivative inside [lo, hi]."""
-    def deriv(s):
-        return _flow_deriv(z, mu, s, linear_zone_flow(z, mu, tau, x, s))
-
-    while hi - lo > CROSSING_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        dm = deriv(mid)
-        if dm == 0.0:
-            return mid
-        if (dm > 0.0) == d_lo_pos:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _next_contact(z, mu, tau, x, levels, t_max):
@@ -225,23 +185,32 @@ def _next_contact(z, mu, tau, x, levels, t_max):
     n = max(1, int(math.ceil((t_max - t_ref) / step - 1e-12)))
     ts = t_ref + step * np.arange(1, n + 1)
     ts[-1] = t_max
-    us = _flow_grid(z, mu, tau, x, ts)
+    us = linear_zone_flow(z, mu, tau, x, ts)
     dus = p * us + q + mu * np.sin(ts)
+
+    def deriv(s):
+        return p * linear_zone_flow(z, mu, tau, x, s) + q + mu * math.sin(s)
 
     t_l, u_l = t_ref, u_ref
     du_l = p * u_l + q + mu * math.sin(t_l)
-    for i in range(n):
-        t_r, u_r, du_r = float(ts[i]), float(us[i]), float(dus[i])
+    for t_r, u_r, du_r in zip(ts.tolist(), us.tolist(), dus.tolist()):
         if t_r <= t_l:
             continue
         candidates = []
-        # Tangential touch: derivative changes sign, extremum sits on a level.
+        # Derivative changes sign: the extremum may sit on a level (a touch),
+        # or cross it and come back within the cell (a short excursion that
+        # the value test below cannot see).
         if (du_l > 0.0) != (du_r > 0.0):
-            t_ext = _bisect_extremum(z, mu, tau, x, t_l, t_r, du_l > 0.0)
+            lo, hi = _bisect(deriv, t_l, t_r, du_l > 0.0, CROSSING_TIME_TOL)
+            t_ext = 0.5 * (lo + hi)
             u_ext = linear_zone_flow(z, mu, tau, x, t_ext)
             for lv in levels:
-                if abs(u_ext - lv) <= TOUCH_VALUE_TOL:
+                g_l, g_r, g_ext = u_l - lv, u_r - lv, u_ext - lv
+                if abs(g_ext) <= TOUCH_VALUE_TOL:
                     candidates.append((t_ext, lv))
+                elif g_r != 0.0 and (g_r > 0.0) == (g_l > 0.0) != (g_ext > 0.0):
+                    root = _bisect_contact(z, mu, tau, x, lv, t_l, t_ext, g_l > 0.0)
+                    candidates.append((root, lv))
         # Transversal crossing: value changes side.
         for lv in levels:
             g_l, g_r = u_l - lv, u_r - lv
@@ -254,17 +223,6 @@ def _next_contact(z, mu, tau, x, levels, t_max):
             return min(candidates)
         t_l, u_l, du_l = t_r, u_r, du_r
     return None
-
-
-def first_crossing(z: ZoneCoeffs, mu: float, tau: float, x: float, level: float,
-                   t_max: float):
-    """Smallest s in (tau, t_max] with flow value equal to ``level``, else None.
-
-    Tangential contacts are reported too; whether they switch zones is the
-    caller's decision (see :func:`advance`).
-    """
-    hit = _next_contact(z, mu, tau, x, (level,), t_max)
-    return None if hit is None else hit[0]
 
 
 _ZONE_EXITS = {INNER: (-1.0, 1.0), UPPER: (1.0,), LOWER: (-1.0,)}
@@ -363,43 +321,3 @@ def transitions(traj: Trajectory):
         (s1.t_start, s1.entry_state, s0.zone, s1.zone)
         for s0, s1 in zip(traj.segments, traj.segments[1:])
     ]
-
-
-def rk4_oracle(p: Params, tau: float, x, t_end: float, step: float):
-    """Classical fixed-step RK4 of the continuous right-hand side.
-
-    Used only in tests as a cross-check of :func:`advance`; accepts a
-    scalar or an array of initial states.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    span = t_end - tau
-    scalar = np.isscalar(x)
-    if span <= 0.0:
-        return float(x) if scalar else np.asarray(x, dtype=float)
-    n = max(1, int(math.ceil(span / step)))
-    h = span / n
-    a, slope_gap, mu, eps, lam = p.a, p.b - p.a, p.mu, p.eps, p.lam
-
-    if scalar:
-        u = float(x)
-        sin = math.sin
-
-        def rhs(t, v):
-            s = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
-            return eps * (a * v + slope_gap * s) + mu * sin(t) + lam
-
-    else:
-        u = np.asarray(x, dtype=float)
-
-        def rhs(t, v):
-            return eps * (a * v + slope_gap * np.clip(v, -1.0, 1.0)) + mu * math.sin(t) + lam
-
-    for i in range(n):
-        t = tau + i * h
-        k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = rhs(t + h, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u

@@ -4,7 +4,9 @@ Shared by the cycle finder and the Melnikov zero counter.  A uniform base
 grid is refined around local minima of |f| (where close root pairs hide)
 and around existing sign changes until two consecutive refinement levels
 agree on the root count; persistent disagreement is reported, never
-silently resolved.
+silently resolved.  The bisection loop here is the package's only one.
+The contact search, phi and lambda_of_x call it under its private name, so
+wrappers around the public names (perfbench's tracer) see only scan calls.
 """
 
 from __future__ import annotations
@@ -16,17 +18,37 @@ from .errors import CountUnstableError
 __all__ = ["scan_roots", "bisect_root"]
 
 
-def _root_count(fs):
-    count = 0
-    prev = 0.0
-    for f in fs:
+def _bisect(fun, lo, hi, lo_pos, xtol, ftol=0.0, level=0.0):
+    """Halve [lo, hi] around a crossing of ``fun`` through ``level`` (above
+    it at lo iff ``lo_pos``) until the bracket is at most ``xtol`` wide or
+    one ulp wide; return it, collapsed onto any midpoint within ``ftol``."""
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fm = fun(mid) - level
+        if fm == 0.0 or abs(fm) < ftol:
+            return mid, mid
+        if (fm > 0.0) == lo_pos:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _sign_changes(xs, fs):
+    """Exact zeros and (x_lo, x_hi, f_lo_positive) sign-change brackets of a
+    sampled function; zero samples are skipped when pairing neighbours."""
+    exact = [x for x, f in zip(xs, fs) if f == 0.0]
+    brackets = []
+    prev_i = None
+    for i, f in enumerate(fs):
         if f == 0.0:
-            count += 1
             continue
-        if prev != 0.0 and (f > 0.0) != (prev > 0.0):
-            count += 1
-        prev = f
-    return count
+        if prev_i is not None and (f > 0.0) != (fs[prev_i] > 0.0):
+            brackets.append((xs[prev_i], xs[i], fs[prev_i] > 0.0))
+        prev_i = i
+    return exact, brackets
 
 
 def _suspicious_cells(xs, fs):
@@ -40,12 +62,12 @@ def _suspicious_cells(xs, fs):
         if abs(fs[i]) <= abs(fs[i - 1]) and abs(fs[i]) <= abs(fs[i + 1]):
             cells.add(i - 1)
             cells.add(i)
-    return sorted(cells)
+    return cells
 
 
 def _refine(fun, xs, fs, insert):
     new_xs, new_fs = [], []
-    cells = set(_suspicious_cells(xs, fs))
+    cells = _suspicious_cells(xs, fs)
     for i in range(len(xs) - 1):
         new_xs.append(xs[i])
         new_fs.append(fs[i])
@@ -67,37 +89,21 @@ def scan_roots(fun, lo, hi, n, max_refine=5, insert=8):
     """
     xs = [float(v) for v in np.linspace(lo, hi, n)]
     fs = [fun(x) for x in xs]
-    counts = [_root_count(fs)]
+    exact, brackets = _sign_changes(xs, fs)
+    counts = [len(exact) + len(brackets)]
     while True:
         xs, fs = _refine(fun, xs, fs, insert)
-        counts.append(_root_count(fs))
+        exact, brackets = _sign_changes(xs, fs)
+        counts.append(len(exact) + len(brackets))
         if counts[-1] == counts[-2]:
-            break
+            return exact, brackets
         if len(counts) > max_refine:
             raise CountUnstableError(
                 f"root count did not stabilize across refinements: {counts}"
             )
-    exact = [x for x, f in zip(xs, fs) if f == 0.0]
-    brackets = []
-    prev_i = None
-    for i, f in enumerate(fs):
-        if f == 0.0:
-            continue
-        if prev_i is not None and (f > 0.0) != (fs[prev_i] > 0.0):
-            brackets.append((xs[prev_i], xs[i], fs[prev_i] > 0.0))
-        prev_i = i
-    return exact, brackets
 
 
 def bisect_root(fun, lo, hi, f_lo_positive, xtol=1e-12):
     """Plain bisection of a bracketed sign change down to width ``xtol``."""
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == f_lo_positive:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(fun, lo, hi, f_lo_positive, xtol)
     return 0.5 * (lo + hi)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AtBifurcationError, BadRegimeError, BracketFailedError
 from .exactflow import TWO_PI
-from .gridscan import scan_roots
+from .gridscan import _bisect, scan_roots
 from .model import Params
 
 __all__ = [
@@ -225,23 +225,12 @@ def phi(x: float, p: Params) -> float:
         return bv.mu2
     if x == width:
         return -p.b / p.a
-    lo, hi = 0.0, 2.0 * bv.mu1
-    f_lo = M_shift(x, lo, p)  # equals 2*pi*f(x), nonzero inside the interval
+    hi = 2.0 * bv.mu1
+    f_lo = M_shift(x, 0.0, p)  # equals 2*pi*f(x), nonzero inside the interval
     f_hi = M_shift(x, hi, p)
     if f_lo == 0.0 or f_hi == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketFailedError(f"no sign change in mu on (0, {hi:.3g}] at x={x}")
-    lo_pos = f_lo > 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = M_shift(x, mid, p)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == lo_pos:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
+    lo, hi = _bisect(lambda mu: M_shift(x, mu, p), 0.0, hi, f_lo > 0.0, 1e-14)
     return 0.5 * (lo + hi)
 
 

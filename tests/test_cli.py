@@ -172,6 +172,16 @@ class TestOrbit3d:
         _, _, rows = read_csv(out_path)
         assert all(float(r[2]) == 0.0 and float(r[3]) == 0.0 for r in rows)
 
+    def test_large_mu_passes_the_scaled_cylinder_check(self, capsys, tmp_path):
+        out_path = tmp_path / "big.csv"
+        code, _, err = run(capsys, ["orbit3d", "--a", "-1", "--b", "1", "--mu", "1000",
+                                    "--x0", "0", "--out", str(out_path)])
+        assert code == 0, err
+        _, _, rows = read_csv(out_path)
+        for row in rows:
+            _, _, y, z = (float(v) for v in row)
+            assert abs(y * y + z * z - 1e6) <= 1e-12 * 1e6
+
     def test_warns_when_not_a_cycle(self, capsys, tmp_path):
         out_path = tmp_path / "warn.csv"
         code, _, err = run(capsys, ["orbit3d", "--a", "-1", "--b", "1", "--mu", "1.2",

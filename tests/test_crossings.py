@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from satcycles import (
+    INNER,
     CrossingSequence,
     NoConvergenceError,
     Params,
+    advance,
     displacement_d,
     dP,
     extract_crossings,
@@ -16,6 +18,7 @@ from satcycles import (
     lambda_of_x,
     residual_3z,
     residual_direct,
+    sample,
     solve_crossing_system,
 )
 from satcycles.crossings import _residual_direct_raw
@@ -158,6 +161,23 @@ class TestLambdaOfX:
         p = Params(a=-1, b=1, mu=1.3)
         for x in (-0.3, 0.4, 1.1):
             assert abs(lambda_of_x(p, x + 1e-6) - lambda_of_x(p, x)) < 1e-3
+
+    @pytest.mark.parametrize("a, mu, x", [
+        (-0.07207379903571451, 2.0917195669534383, -3.1792970002221335),
+        (-0.09894471965899698, 1.5227224043008563, -2.0396266857983134),
+    ])
+    def test_cycle_stays_inside_its_inner_segments(self, a, mu, x):
+        # these cycles graze x = 1 with excursions of 4e-6 and 1e-5 that fit
+        # between two contact-scan samples; missing them leaves the inner
+        # slope on where the outer one applies
+        p = Params(a=a, b=-a, mu=mu)
+        biased = dataclasses.replace(p, lam=lambda_of_x(p, x))
+        traj = advance(biased, 0.0, x, TWO_PI)
+        for seg in traj.segments:
+            if seg.zone != INNER:
+                continue
+            ts = np.linspace(seg.t_start, seg.t_end, 4001)
+            assert np.max(np.abs(sample(biased, traj, ts))) <= 1.0 + 1e-12
 
     def test_extremum_flags_a_fold(self):
         # ternary search for the interior minimum of lam(x); the biased

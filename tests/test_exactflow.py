@@ -10,13 +10,14 @@ from satcycles import (
     ZoneSwitchLimitError,
     advance,
     f_eval,
-    first_crossing,
     linear_zone_flow,
-    rk4_oracle,
     sample,
     transitions,
     zone_coeffs,
 )
+from satcycles.exactflow import _next_contact
+
+from oracles import rk4_oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,18 +51,18 @@ class TestLinearZoneFlow:
 class TestFirstCrossing:
     def test_tangential_touch_is_reported(self):
         z = ZoneCoeffs(0.0, 0.0)
-        s = first_crossing(z, 1.0, 0.0, 0.0, 2.0, TWO_PI)
+        s, _ = _next_contact(z, 1.0, 0.0, 0.0, (2.0,), TWO_PI)
         assert s == pytest.approx(math.pi, abs=1e-9)
 
     def test_unreachable_level_is_absent(self):
         z = ZoneCoeffs(0.0, 0.0)
-        assert first_crossing(z, 1.0, 0.0, 0.0, 3.0, TWO_PI) is None
+        assert _next_contact(z, 1.0, 0.0, 0.0, (3.0,), TWO_PI) is None
 
     def test_orbit_above_level_never_crosses(self):
         # trajectory through 1.5 is the periodic orbit of the upper zone of
         # (a=-1, b=1, mu=1); its minimum stays above 1
         z = ZoneCoeffs(-1.0, 2.0)
-        assert first_crossing(z, 1.0, 0.0, 1.5, 1.0, TWO_PI) is None
+        assert _next_contact(z, 1.0, 0.0, 1.5, (1.0,), TWO_PI) is None
         ts = np.linspace(0.0, TWO_PI, 20001)
         vals = [linear_zone_flow(z, 1.0, 0.0, 1.5, float(t)) for t in ts]
         assert min(vals) > 1.0
@@ -69,7 +70,7 @@ class TestFirstCrossing:
     def test_transversal_crossing_time(self):
         z = ZoneCoeffs(0.0, 0.0)
         # 1 - cos t = 1 first at t = pi/2
-        s = first_crossing(z, 1.0, 0.0, 0.0, 1.0, TWO_PI)
+        s, _ = _next_contact(z, 1.0, 0.0, 0.0, (1.0,), TWO_PI)
         assert s == pytest.approx(math.pi / 2.0, abs=1e-11)
 
 
@@ -159,6 +160,29 @@ class TestAdvance:
         m1 = advance(p, 0.0, x_sym, TWO_PI).a_in_measure
         m2 = advance(p_flip, 0.0, mapped, TWO_PI).a_in_measure
         assert m1 == pytest.approx(m2, abs=1e-10)
+
+
+class TestContactSearchEdges:
+    def test_excursion_between_scan_samples_switches_zones(self):
+        # u = 1e-6 - cos t rises above 1 only for about 2.8e-3 around t = pi,
+        # well inside one scan cell; the excursion must still switch zones
+        p = Params(a=0, b=0, mu=1)
+        tau = 0.01
+        traj = advance(p, tau, 1e-6 - math.cos(tau), tau + TWO_PI)
+        assert [s.zone for s in traj.segments] == [INNER, "upper", INNER]
+        (t_up, level, _, _), (t_down, _, _, _) = transitions(traj)
+        assert level == 1.0
+        assert 0.5 * (t_up + t_down) == pytest.approx(math.pi, abs=1e-9)
+        assert t_down - t_up == pytest.approx(2.0 * math.acos(1.0 - 1e-6), abs=1e-9)
+
+    def test_far_start_time_terminates(self):
+        # at |t| >= 8192 one ulp of time exceeds the 1e-12 bisection width
+        p = Params(a=-1, b=1, mu=1.2)
+        far = advance(p, 9000.0, 0.3, 9000.0 + TWO_PI)
+        tau = 9000.0 - 1432 * TWO_PI
+        near = advance(p, tau, 0.3, tau + TWO_PI)
+        assert far.final_state == pytest.approx(near.final_state, abs=1e-12)
+        assert far.a_in_measure == pytest.approx(near.a_in_measure, abs=1e-8)
 
 
 class TestZoneCoeffs:
