@@ -6,8 +6,8 @@ CSV files carry '#'-prefixed key=value metadata lines before the header so
 they are both plot-tool friendly and self-documenting; rows are emitted in
 a deterministic sorted order so runs diff cleanly.
 
-Exit codes: 0 success, 2 analytic-regime refusal, 3 numeric
-non-convergence, 4 I/O failure.
+Exit codes: 0 success, 2 refusal (analytic regime or invalid input),
+3 numeric non-convergence or failed consistency check, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import BadRegimeError, CenterRegimeError, InvariantViolatedError, SatcyclesError
+from .errors import (
+    BadRegimeError,
+    CenterRegimeError,
+    InvariantViolatedError,
+    SatcyclesError,
+    UsageError,
+)
 from .exactflow import TWO_PI, advance, sample
 from .crossings import extract_crossings, residual_3z, residual_direct
 from .melnikov import M_orig, M_shift, Mmu, Mx, bif_values, consistency_identity, zero_set
@@ -30,7 +36,7 @@ from .poincare import classify_regime, displacement_d, find_all_cycles
 
 __all__ = ["main", "ScanRow", "write_csv", "read_csv"]
 
-_ANALYTIC_REFUSAL = (CenterRegimeError, BadRegimeError)
+_REFUSAL = (CenterRegimeError, BadRegimeError, UsageError)
 
 _DEFAULTS = {
     "a": None,
@@ -87,7 +93,7 @@ def read_csv(path):
 
 def _params(args) -> Params:
     if args.a is None or args.b is None:
-        raise SystemExit("--a and --b are required (flags or --config)")
+        raise UsageError("--a and --b are required (flags or --config)")
     return Params(a=args.a, b=args.b, mu=args.mu, eps=args.eps, lam=args.lam)
 
 
@@ -169,7 +175,7 @@ def _scan_cell(task):
 
 def cmd_scan(args) -> int:
     if args.n < 2:
-        raise SystemExit("--n must be >= 2")
+        raise UsageError("--n must be >= 2")
     p = _params(args)
     eps_list = [float(v) for v in args.eps_list.split(",")] if args.eps_list else [p.eps]
     mus = np.linspace(args.mu_min, args.mu_max, args.n)
@@ -220,8 +226,14 @@ def cmd_melnikov(args) -> int:
     return 0
 
 
+def _require_out(args):
+    if not args.out:
+        raise UsageError(f"{args.command} requires --out")
+
+
 def cmd_zeroset(args) -> int:
     p = _params(args)
+    _require_out(args)
     polylines = zero_set(p, n_samples=args.samples)
     header = ["branch", "x", "mu"]
     rows = [
@@ -230,8 +242,6 @@ def cmd_zeroset(args) -> int:
         for x, mu in points
     ]
     meta = _meta("zeroset", p, args, samples=args.samples)
-    if not args.out:
-        raise SystemExit("zeroset requires --out")
     write_csv(args.out, meta, header, rows)
     print(f"wrote {len(rows)} zero-set points to {args.out}")
     return 0
@@ -239,6 +249,7 @@ def cmd_zeroset(args) -> int:
 
 def cmd_orbit3d(args) -> int:
     p = _params(args)
+    _require_out(args)
     x0 = args.x0
     d0 = displacement_d(p, x0)
     if abs(d0) >= 1e-6:
@@ -256,8 +267,6 @@ def cmd_orbit3d(args) -> int:
         if abs(y * y + z * z - p.mu * p.mu) > 1e-12 * max(1.0, p.mu * p.mu):
             raise InvariantViolatedError("cylinder invariant y^2 + z^2 = mu^2 violated")
         rows.append([fmt(t), fmt(x), fmt(y), fmt(z)])
-    if not args.out:
-        raise SystemExit("orbit3d requires --out")
     meta = _meta("orbit3d", p, args, x0=fmt(x0), samples=args.samples)
     write_csv(args.out, meta, header, rows)
     print(f"wrote {len(rows)} orbit points to {args.out}")
@@ -382,7 +391,7 @@ def main(argv=None) -> int:
     _finalize_args(args)
     try:
         return _COMMANDS[args.command](args)
-    except _ANALYTIC_REFUSAL as exc:
+    except _REFUSAL as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SatcyclesError as exc:  # every other package error is numeric

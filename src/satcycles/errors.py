@@ -39,3 +39,7 @@ class ZoneSwitchLimitError(SatcyclesError):
 
 class InvariantViolatedError(SatcyclesError):
     """A computed result fails one of its own consistency checks."""
+
+
+class UsageError(SatcyclesError):
+    """Command-line input is missing or out of range."""

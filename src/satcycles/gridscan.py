@@ -66,15 +66,22 @@ def _suspicious_cells(xs, fs):
 
 
 def _refine(fun, xs, fs, insert):
+    """Insert ``insert`` points into every suspicious cell; the new points
+    go to ``fun`` as one array, in grid order."""
+    cells = sorted(_suspicious_cells(xs, fs))
+    if not cells:
+        return xs, fs
+    fresh = [[float(x) for x in np.linspace(xs[i], xs[i + 1], insert + 2)[1:-1]]
+             for i in cells]
+    values = iter(fun(np.array([x for pts in fresh for x in pts])).tolist())
+    inserted = dict(zip(cells, fresh))
     new_xs, new_fs = [], []
-    cells = _suspicious_cells(xs, fs)
     for i in range(len(xs) - 1):
         new_xs.append(xs[i])
         new_fs.append(fs[i])
-        if i in cells:
-            for x in np.linspace(xs[i], xs[i + 1], insert + 2)[1:-1]:
-                new_xs.append(float(x))
-                new_fs.append(fun(float(x)))
+        for x in inserted.get(i, ()):
+            new_xs.append(x)
+            new_fs.append(next(values))
     new_xs.append(xs[-1])
     new_fs.append(fs[-1])
     return new_xs, new_fs
@@ -83,12 +90,15 @@ def _refine(fun, xs, fs, insert):
 def scan_roots(fun, lo, hi, n, max_refine=5, insert=8):
     """Bracket every sign change of ``fun`` on [lo, hi].
 
-    Returns (exact_roots, brackets) where brackets are
-    (x_lo, x_hi, f_lo_positive) triples.  Raises CountUnstableError when
-    the count keeps changing between refinement levels.
+    ``fun`` maps a 1-D ndarray of points to the ndarray of its values.  It
+    is called once on the base grid and once per refinement level, on that
+    level's new points in ascending order.  Returns (exact_roots, brackets)
+    where brackets are (x_lo, x_hi, f_lo_positive) triples.  Raises
+    CountUnstableError when the count keeps changing between refinement
+    levels.
     """
-    xs = [float(v) for v in np.linspace(lo, hi, n)]
-    fs = [fun(x) for x in xs]
+    grid = np.linspace(lo, hi, n)
+    xs, fs = grid.tolist(), fun(grid).tolist()
     exact, brackets = _sign_changes(xs, fs)
     counts = [len(exact) + len(brackets)]
     while True:

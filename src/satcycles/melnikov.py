@@ -17,7 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AtBifurcationError, BadRegimeError, BracketFailedError
+import numpy as np
+
+from .errors import (
+    AtBifurcationError,
+    BadRegimeError,
+    BracketFailedError,
+    InvariantViolatedError,
+)
 from .exactflow import TWO_PI
 from .gridscan import _bisect, scan_roots
 from .model import Params
@@ -204,9 +211,12 @@ def bif_values(p: Params) -> BifValues:
     mu1 = c / math.sin(c)
     mu2 = 1.0 / math.cos(0.5 * c)
     x1 = 1.0 - mu1 * math.cos(c)
-    assert 0.0 < c < math.pi
-    assert mu2 < mu1
-    assert mu1 * math.cos(c) > p.b / p.a
+    # These hold exactly for every a*b < 0.  In doubles they fail when |b/a|
+    # or |a/b| is so small that c rounds onto 0 or pi.
+    if not (0.0 < c < math.pi and mu2 < mu1 and mu1 * math.cos(c) > p.b / p.a):
+        raise InvariantViolatedError(
+            f"bifurcation constants unresolved in double precision at a={p.a!r}, "
+            f"b={p.b!r}: c={c!r}, mu1={mu1!r}, mu2={mu2!r}")
     return BifValues(c=c, mu1=mu1, mu2=mu2, x1=x1)
 
 
@@ -258,7 +268,8 @@ def count_simple_zeros(mu: float, p: Params) -> int:
         )
     width = 1.0 - p.b / p.a
     bound = width + 1.0
-    exact, brackets = scan_roots(lambda x: M_shift(x, mu, p), -bound, bound, 4096)
+    exact, brackets = scan_roots(
+        lambda xs: np.array([M_shift(x, mu, p) for x in xs.tolist()]), -bound, bound, 4096)
     return len(exact) + len(brackets)
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from numpy import ndarray
+
 from .errors import CenterRegimeError, CountUnstableError
 from .exactflow import (
     INNER,
@@ -21,6 +23,7 @@ from .exactflow import (
     UPPER,
     P_DEGENERATE,
     advance,
+    advance_batch,
     zone_coeffs,
 )
 from .gridscan import bisect_root, scan_roots
@@ -66,8 +69,11 @@ class Regime:
     detail: str
 
 
-def poincare_P(p: Params, x: float) -> float:
-    """Time-2pi return map u(2*pi, 0, x)."""
+def poincare_P(p: Params, x):
+    """Time-2pi return map u(2*pi, 0, x); a 1-D ndarray ``x`` is mapped
+    row by row through ``advance_batch``."""
+    if type(x) is ndarray:
+        return advance_batch(p, x, TWO_PI)
     return advance(p, 0.0, x, TWO_PI).final_state
 
 
@@ -76,8 +82,9 @@ def half_Q(p: Params, x: float) -> float:
     return -advance(p, 0.0, x, math.pi).final_state
 
 
-def displacement_d(p: Params, x: float) -> float:
-    """P(x) - x; zeros are the periodic solutions."""
+def displacement_d(p: Params, x):
+    """P(x) - x; zeros are the periodic solutions.  Floats or ndarrays, as
+    ``poincare_P``."""
     return poincare_P(p, x) - x
 
 
@@ -228,10 +235,11 @@ def find_all_cycles(p: Params, *, grid: int = 4096, tol_root: float = 1e-11,
 
     The symmetric cycle is located first through the half-map (guaranteed
     unique fixed point); remaining zeros of the displacement are bracketed
-    on an adaptive grid, bisected, Newton-polished, and classified by the
-    exact multiplier.  Raises CenterRegimeError in (analytically known)
-    center regimes and CountUnstableError when adjacent grid refinements
-    disagree on the root count.
+    on an adaptive grid (each level evaluated as one batch), bisected,
+    Newton-polished, and classified by the exact multiplier.  Raises
+    CenterRegimeError in (analytically known) center regimes and
+    CountUnstableError when adjacent grid refinements disagree on the root
+    count.
     """
     regime = classify_regime(p)
     if p.lam == 0.0 and regime.tag in ("global_center", "center_no_cycles"):

@@ -65,7 +65,8 @@ def test_criterion_02_melnikov_counts():
 def _melnikov_predicted_initials(mu):
     p = Params(a=-1, b=1, mu=0)
     fun = lambda x: M_shift(x, mu, p)
-    exact, brackets = scan_roots(fun, -3.0, 3.0, 4096)
+    exact, brackets = scan_roots(
+        lambda xs: np.array([fun(x) for x in xs.tolist()]), -3.0, 3.0, 4096)
     zeros = sorted(exact + [bisect_root(fun, lo, hi, pos) for lo, hi, pos in brackets])
     return [z - mu for z in zeros]
 

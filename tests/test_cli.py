@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from satcycles import cli
 from satcycles.cli import main, read_csv, write_csv
 
 TWO_PI = 2.0 * math.pi
@@ -96,8 +97,10 @@ class TestScan:
         assert keys == sorted(keys)
 
     def test_rejects_tiny_grid(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["scan", "--a", "-1", "--b", "1", "--mu-min", "0", "--mu-max", "1", "--n", "1"])
+        code, _, err = run(capsys, ["scan", "--a", "-1", "--b", "1", "--mu-min", "0",
+                                    "--mu-max", "1", "--n", "1"])
+        assert code == 2
+        assert err.startswith("error: --n must be >= 2")
 
 
 class TestMelnikovCommand:
@@ -121,6 +124,43 @@ class TestBifValuesCommand:
     def test_bad_regime_exit_code(self, capsys):
         code, _, err = run(capsys, ["bifvalues", "--a", "1", "--b", "2"])
         assert code == 2 and "a*b < 0" in err
+
+    @pytest.mark.parametrize("command", [["bifvalues"], ["regime", "--mu", "1"]])
+    def test_unresolvable_constants_exit_3(self, capsys, command):
+        code, _, err = run(capsys, [*command, "--a", "-1", "--b", "1e-17"])
+        assert code == 3
+        assert err.startswith("error: bifurcation constants unresolved")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv", [
+        ["regime", "--mu", "1"],
+        ["cycles", "--a", "-1"],
+        ["zeroset", "--b", "1"],
+    ])
+    def test_missing_slopes_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: --a and --b are required (flags or --config)\n"
+
+    def test_missing_out_is_refused_before_the_zero_set(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("zero_set ran before --out was checked")
+
+        monkeypatch.setattr(cli, "zero_set", fail)
+        code, _, err = run(capsys, ["zeroset", "--a", "-1", "--b", "1"])
+        assert code == 2
+        assert err == "error: zeroset requires --out\n"
+
+    def test_missing_out_is_refused_before_the_orbit(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the orbit was computed before --out was checked")
+
+        monkeypatch.setattr(cli, "displacement_d", fail)
+        monkeypatch.setattr(cli, "advance", fail)
+        code, _, err = run(capsys, ["orbit3d", "--a", "-1", "--b", "1", "--x0", "0"])
+        assert code == 2
+        assert err == "error: orbit3d requires --out\n"
 
 
 class TestZeroSetCommand:

@@ -9,12 +9,15 @@ from satcycles import (
     ZoneCoeffs,
     ZoneSwitchLimitError,
     advance,
+    advance_batch,
+    analytic_one_zone_cycles,
     f_eval,
     linear_zone_flow,
     sample,
     transitions,
     zone_coeffs,
 )
+from satcycles import exactflow
 from satcycles.exactflow import _next_contact
 
 from oracles import rk4_oracle
@@ -183,6 +186,127 @@ class TestContactSearchEdges:
         near = advance(p, tau, 0.3, tau + TWO_PI)
         assert far.final_state == pytest.approx(near.final_state, abs=1e-12)
         assert far.a_in_measure == pytest.approx(near.a_in_measure, abs=1e-8)
+
+
+def _scalar_finals(p, xs, t_end):
+    return np.array([advance(p, 0.0, x, t_end).final_state for x in xs.tolist()])
+
+
+def _assert_batch_matches_scalar(p, xs, t_end=TWO_PI):
+    xs = np.asarray(xs, dtype=float)
+    got = advance_batch(p, xs, t_end)
+    want = _scalar_finals(p, xs, t_end)
+    assert got.shape == xs.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(xs))), (got, want)
+
+
+class TestAdvanceBatch:
+    def test_matches_scalar_advance_on_seeded_draws(self):
+        rng = np.random.default_rng(20261018)
+        for i in range(6):
+            if i % 2:
+                p = Params(a=-1.0, b=1.0, mu=rng.uniform(0.6, 2.4), eps=(1.0, 0.05)[i // 2 % 2])
+            else:
+                p = Params(a=rng.uniform(-3, 3), b=rng.uniform(-3, 3), mu=rng.uniform(0, 3),
+                           eps=rng.uniform(0.05, 1.0), lam=rng.uniform(-0.5, 0.5))
+            xs = np.concatenate([rng.uniform(-4, 4, 40), rng.uniform(-1.1, 1.1, 40)])
+            _assert_batch_matches_scalar(p, xs, rng.choice([TWO_PI, math.pi, 9.0]))
+
+    def test_starts_on_the_breakpoints(self):
+        for p in (Params(a=-1, b=1, mu=2), Params(a=-1, b=-1, mu=0), Params(a=-1, b=1, mu=1.2)):
+            _assert_batch_matches_scalar(p, [-1.0, 1.0, 0.0, 1.0, -1.0])
+
+    def test_grazing_one_zonal_cycle_on_its_existence_boundary(self):
+        # amplitude mu/sqrt(b^2+1) = 1: the inner cycle touches both levels
+        p = Params(a=-1, b=1, mu=math.sqrt(2.0))
+        (x0,) = [r.x0 for r in analytic_one_zone_cycles(p) if r.zonal_type == "one_inner"]
+        _assert_batch_matches_scalar(p, [x0, x0 + 1e-9, x0 - 1e-9, 0.0])
+        assert advance_batch(p, np.array([x0]), TWO_PI)[0] == pytest.approx(x0, abs=1e-12)
+
+    def test_zero_field_excursion(self):
+        p = Params(a=0, b=0, mu=1)
+        xs = np.array([0.0, 1e-6 - 1.0, -1.0, 0.5, -2.0])
+        _assert_batch_matches_scalar(p, xs)
+        assert advance_batch(p, xs, TWO_PI) == pytest.approx(xs, abs=1e-10)
+
+    def test_wide_cells_where_the_reach_bound_is_off(self):
+        # |p|*h >= 1/2 for |p| >= 20.4
+        for p in (Params(a=-30, b=1, mu=2), Params(a=-1, b=25, mu=3), Params(a=-22, b=3, mu=2)):
+            _assert_batch_matches_scalar(p, np.linspace(-3, 3, 25))
+
+    def test_fast_forcing(self):
+        p = Params(a=-1, b=1, mu=1000)
+        _assert_batch_matches_scalar(p, np.linspace(-30, 30, 41))
+
+    def test_degenerate_outer_slope(self):
+        p = Params(a=1e-12, b=-1, mu=1.5)
+        assert abs(p.a_eff) < exactflow.P_DEGENERATE
+        _assert_batch_matches_scalar(p, np.linspace(-4, 4, 25))
+
+    def test_saturated_exponential(self):
+        # p*h is about 122 in the inner zone, so the exponential saturates
+        # a few cells into each inner-zone search
+        p = Params(a=-1, b=5000, mu=1)
+        _assert_batch_matches_scalar(p, np.linspace(-3, 3, 13))
+
+    def test_empty_and_chunked_inputs(self, monkeypatch):
+        p = Params(a=-1, b=1, mu=1.5, eps=0.05)
+        assert advance_batch(p, np.array([]), TWO_PI).shape == (0,)
+        monkeypatch.setattr(exactflow, "BATCH_ELEMENTS", 3 * exactflow.BATCH_COLUMNS)
+        _assert_batch_matches_scalar(p, np.linspace(-3, 1, 10))
+
+
+class TestReachTest:
+    """The reach test only skips extremum cells that hold no contact: with
+    it switched off (every extremum bisected), advance is bitwise the same."""
+
+    @staticmethod
+    def _cases():
+        cases = [
+            (Params(a=0, b=0, mu=1), 0.0, -1.0, TWO_PI),  # touches both levels
+            (Params(a=0, b=0, mu=1), 0.01, 1e-6 - math.cos(0.01), 0.01 + TWO_PI),
+            (Params(a=-1, b=1, mu=math.sqrt(2.0)), 0.0, -math.sqrt(2.0) / 2.0, TWO_PI),
+        ]
+        rng = np.random.default_rng(7)
+        for k in range(3, 14):
+            # inner-zone cycles whose extrema sit 10**-k inside or outside the levels
+            for sign in (-1.0, 1.0):
+                b = rng.uniform(-2.0, 2.0)
+                amp = 1.0 + sign * 10.0**-k
+                p = Params(a=-rng.uniform(0.2, 3.0), b=b, mu=amp * math.sqrt(b * b + 1.0))
+                x0 = -p.mu / (b * b + 1.0)
+                cases.append((p, 0.0, x0, TWO_PI))
+                cases.append((p, 0.0, x0 + rng.uniform(-1e-3, 1e-3), 2.0 * TWO_PI))
+        return cases
+
+    def test_skipping_drops_no_touch_or_excursion(self, monkeypatch):
+        cases = self._cases()
+        with_reach = [repr(advance(p, tau, x, t)) for p, tau, x, t in cases]
+        bounds = []
+        reach = exactflow._reach
+
+        def spy(*args):
+            bounds.append(reach(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(exactflow, "_reach", spy)
+        assert [repr(advance(p, tau, x, t)) for p, tau, x, t in cases] == with_reach
+        assert any(math.isfinite(b) for b in bounds)
+        monkeypatch.setattr(exactflow, "_reach", lambda *args: math.inf)
+        assert [repr(advance(p, tau, x, t)) for p, tau, x, t in cases] == with_reach
+
+    def test_bound_on_floats_and_arrays_agree(self):
+        args = [(-1.0, 0.0, 1.2, 0.3, TWO_PI, TWO_PI / 256), (1.0, 2.0, 2.0, -1.5, 3.0, 0.01),
+                (25.0, 0.0, 1.0, 0.0, 1.0, 0.03), (1e-12, 0.5, 1.0, 2.0, TWO_PI, 0.02),
+                (3.0, 0.0, 1.0, 0.0, 50.0, 0.02)]
+        floats = [exactflow._reach(*a) for a in args]
+        arrays = exactflow._reach(*(np.array(col) for col in zip(*args)))
+        assert arrays.tolist() == pytest.approx(floats, rel=1e-14)
+        assert floats[2] == math.inf  # |p|*h >= 1/2
+        assert floats[4] == math.inf  # growth beyond REACH_MAX_GROWTH
+        # M2*h^2 with M2 = |mu|/(1 - |p|*h), plus the touch tolerance twice
+        h = TWO_PI / 256
+        assert floats[0] == pytest.approx(1.2 * h * h / (1 - h), rel=1e-6)
 
 
 class TestZoneCoeffs:

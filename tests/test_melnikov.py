@@ -6,6 +6,7 @@ import pytest
 from satcycles import (
     AtBifurcationError,
     BadRegimeError,
+    InvariantViolatedError,
     M_orig,
     M_shift,
     Mmu,
@@ -205,6 +206,12 @@ class TestBifValues:
             bif_values(Params(a=1, b=2, mu=0))
         with pytest.raises(BadRegimeError):
             bif_values(Params(a=0, b=1, mu=0))
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1e-17), (-1e-17, 1.0), (1e-17, -1.0)])
+    def test_unresolvable_slope_ratio_is_a_typed_error(self, a, b):
+        # c rounds onto 0 or pi, so mu1 and mu2 collapse onto each other
+        with pytest.raises(InvariantViolatedError, match="double precision"):
+            bif_values(Params(a=a, b=b, mu=0))
 
 
 class TestPhi:

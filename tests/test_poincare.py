@@ -159,4 +159,4 @@ class TestFindAllCycles:
 def test_scan_instability_is_reported():
     # a frequency far above the base grid keeps revealing new sign changes
     with pytest.raises(CountUnstableError):
-        scan_roots(lambda x: math.sin(3000.0 * x), 0.0, 1.0, 16, max_refine=3)
+        scan_roots(lambda x: np.sin(3000.0 * x), 0.0, 1.0, 16, max_refine=3)
