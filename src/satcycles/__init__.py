@@ -5,141 +5,20 @@
 with exact per-zone flows, Poincare-map analysis, the three-zonal
 crossing-time system, and the closed-form first-order averaging
 (Melnikov) bifurcation diagram.
+
+Each public name is declared once, in its module's ``__all__``; the
+package namespace is the union of those lists.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AtBifurcationError,
-    BadRegimeError,
-    BracketFailedError,
-    CenterRegimeError,
-    CountUnstableError,
-    InvariantViolatedError,
-    NoConvergenceError,
-    OrderViolatedError,
-    SatcyclesError,
-    UsageError,
-    ZoneSwitchLimitError,
-)
-from .model import Params, SymmetryTransform, f_eval, sat, symmetry_reduce
-from .exactflow import (
-    INNER,
-    LOWER,
-    UPPER,
-    Segment,
-    Trajectory,
-    ZoneCoeffs,
-    advance,
-    advance_batch,
-    linear_zone_flow,
-    sample,
-    transitions,
-    zone_coeffs,
-    zone_of,
-)
-from .poincare import (
-    ATTRACTING,
-    NONHYPERBOLIC,
-    REPELLING,
-    CycleRecord,
-    Regime,
-    analytic_one_zone_cycles,
-    classify_regime,
-    displacement_d,
-    dP,
-    find_all_cycles,
-    half_Q,
-    poincare_P,
-)
-from .crossings import (
-    CrossingSequence,
-    extract_crossings,
-    g_aux,
-    lambda_of_x,
-    residual_3z,
-    residual_direct,
-    solve_crossing_system,
-)
-from .melnikov import (
-    BifValues,
-    M_orig,
-    M_shift,
-    Mmu,
-    Mx,
-    ZeroSetBranch,
-    ZonePartition,
-    bif_values,
-    consistency_identity,
-    count_simple_zeros,
-    partition,
-    phi,
-    phi_branch,
-    zero_set,
-)
+from . import crossings, errors, exactflow, melnikov, model, poincare
+from .model import *  # noqa: F403
+from .exactflow import *  # noqa: F403
+from .poincare import *  # noqa: F403
+from .crossings import *  # noqa: F403
+from .melnikov import *  # noqa: F403
+from .errors import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "Params",
-    "SymmetryTransform",
-    "sat",
-    "f_eval",
-    "symmetry_reduce",
-    "LOWER",
-    "INNER",
-    "UPPER",
-    "ZoneCoeffs",
-    "Segment",
-    "Trajectory",
-    "zone_of",
-    "zone_coeffs",
-    "linear_zone_flow",
-    "advance",
-    "advance_batch",
-    "sample",
-    "transitions",
-    "CycleRecord",
-    "Regime",
-    "ATTRACTING",
-    "REPELLING",
-    "NONHYPERBOLIC",
-    "poincare_P",
-    "half_Q",
-    "displacement_d",
-    "dP",
-    "classify_regime",
-    "analytic_one_zone_cycles",
-    "find_all_cycles",
-    "CrossingSequence",
-    "g_aux",
-    "residual_3z",
-    "residual_direct",
-    "solve_crossing_system",
-    "extract_crossings",
-    "lambda_of_x",
-    "ZonePartition",
-    "BifValues",
-    "ZeroSetBranch",
-    "partition",
-    "M_shift",
-    "M_orig",
-    "Mx",
-    "Mmu",
-    "consistency_identity",
-    "bif_values",
-    "phi",
-    "phi_branch",
-    "count_simple_zeros",
-    "zero_set",
-    "SatcyclesError",
-    "CenterRegimeError",
-    "CountUnstableError",
-    "NoConvergenceError",
-    "OrderViolatedError",
-    "BracketFailedError",
-    "BadRegimeError",
-    "AtBifurcationError",
-    "ZoneSwitchLimitError",
-    "InvariantViolatedError",
-    "UsageError",
-]
+__all__ = ["__version__", *model.__all__, *exactflow.__all__, *poincare.__all__,
+           *crossings.__all__, *melnikov.__all__, *errors.__all__]

@@ -34,7 +34,7 @@ from .melnikov import M_orig, M_shift, Mmu, Mx, bif_values, consistency_identity
 from .model import Params
 from .poincare import classify_regime, displacement_d, find_all_cycles
 
-__all__ = ["main", "ScanRow", "write_csv", "read_csv"]
+__all__ = ["main", "ScanRow", "write_csv"]
 
 _REFUSAL = (CenterRegimeError, BadRegimeError, UsageError)
 
@@ -76,25 +76,13 @@ def write_csv(path, meta, header, rows):
         fh.write(text)
 
 
-def read_csv(path):
-    """Parse a package CSV back into (meta, header, rows of raw strings)."""
-    meta, header, rows = {}, None, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh.read().splitlines():
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                meta[key] = value
-            elif header is None:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
-    return meta, header, rows
-
-
 def _params(args) -> Params:
     if args.a is None or args.b is None:
         raise UsageError("--a and --b are required (flags or --config)")
-    return Params(a=args.a, b=args.b, mu=args.mu, eps=args.eps, lam=args.lam)
+    try:
+        return Params(a=args.a, b=args.b, mu=args.mu, eps=args.eps, lam=args.lam)
+    except ValueError as exc:  # a non-finite value, such as nan
+        raise UsageError(str(exc)) from None
 
 
 def _three_cycle_bound(p: Params) -> float:
@@ -295,14 +283,26 @@ def cmd_crossings(args) -> int:
 
 
 def _load_config(path):
+    """Typed values of a key = value file.  A key is a common flag, spelled
+    as on the command line (``tol-root``, ``lambda``) or as its attribute
+    (``tol_root``, ``lam``)."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key, _, raw = line.partition("=")
+            key = key.strip().replace("-", "_")
+            key = "lam" if key == "lambda" else key
+            if key not in _DEFAULTS:
+                raise UsageError(f"unknown key {key!r} in config file {path}")
+            cast = int if key == "grid" else (str if key == "out" else float)
+            try:
+                values[key] = cast(raw.strip())
+            except ValueError:
+                raise UsageError(f"bad value {raw.strip()!r} for {key} in config file "
+                                 f"{path}") from None
     return values
 
 
@@ -310,14 +310,8 @@ def _finalize_args(args):
     """Fill unset flags from --config, then from the builtin defaults."""
     config = _load_config(args.config) if args.config else {}
     for key, default in _DEFAULTS.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in config:
-            raw = config[key]
-            cast = int if key == "grid" else (str if key == "out" else float)
-            setattr(args, key, cast(raw))
-        else:
-            setattr(args, key, default)
+        if getattr(args, key, None) is None:
+            setattr(args, key, config.get(key, default))
     return args
 
 
@@ -330,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lambda", dest="lam", type=float, help="constant bias (default 0)")
     common.add_argument("--out", help="output CSV path")
     common.add_argument("--tol-root", dest="tol_root", type=float,
-                        help="root refinement tolerance (default 1e-11)")
+                        help="root refinement tolerance (default 1e-11); roots "
+                             "are bisected to min(tol_root, 1e-12), so every value "
+                             ">= 1e-12 gives the same result")
     common.add_argument("--tol-residual", dest="tol_residual", type=float,
                         help="residual tolerance for reports (default 1e-10)")
     common.add_argument("--grid", type=int, help="scan grid size (default 4096)")
@@ -388,8 +384,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _finalize_args(args)
     try:
+        _finalize_args(args)
         return _COMMANDS[args.command](args)
     except _REFUSAL as exc:
         print(f"error: {exc}", file=sys.stderr)

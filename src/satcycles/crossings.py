@@ -32,6 +32,12 @@ __all__ = [
     "lambda_of_x",
 ]
 
+# Newton on the direct system: iteration cap, residual target (infinity
+# norm) and the step of the central-difference Jacobian.
+NEWTON_MAX_ITER = 100
+RESIDUAL_TOL = 1e-10
+FD_STEP = 1e-7
+
 
 @dataclass(frozen=True)
 class CrossingSequence:
@@ -112,15 +118,14 @@ def _ordered(t: np.ndarray) -> bool:
     return t[0] < t[1] < t[2] < t[3] < t[0] + TWO_PI
 
 
-def solve_crossing_system(p: Params, guess: CrossingSequence, *, max_iter: int = 100,
-                          tol: float = 1e-10, fd_step: float = 1e-7) -> CrossingSequence:
-    """Damped Newton on the direct transition system.
+def solve_crossing_system(p: Params, guess: CrossingSequence) -> CrossingSequence:
+    """Damped Newton on the direct transition system, to RESIDUAL_TOL.
 
     The Jacobian is central-difference numeric; a step is accepted only if
     it preserves the strict ordering of the times and reduces the residual
     infinity norm (falling back to the largest ordering-preserving step
     when no factor reduces it).  Raises NoConvergenceError after
-    ``max_iter`` iterations and OrderViolatedError when even arbitrarily
+    NEWTON_MAX_ITER iterations and OrderViolatedError when even arbitrarily
     damped steps break the ordering.
     """
     t = guess.as_array().astype(float)
@@ -128,10 +133,10 @@ def solve_crossing_system(p: Params, guess: CrossingSequence, *, max_iter: int =
     def fvec(tv):
         return _residual_direct_raw(p, *tv)
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         r = fvec(t)
         norm = float(np.max(np.abs(r)))
-        if norm < tol:
+        if norm < RESIDUAL_TOL:
             # Shift the whole sequence by a period if Newton drifted t1 out
             # of [0, 2*pi); the system is invariant under that shift.
             shift = TWO_PI * math.floor(t[0] / TWO_PI)
@@ -140,8 +145,8 @@ def solve_crossing_system(p: Params, guess: CrossingSequence, *, max_iter: int =
         jac = np.empty((4, 4))
         for j in range(4):
             e = np.zeros(4)
-            e[j] = fd_step
-            jac[:, j] = (fvec(t + e) - fvec(t - e)) / (2.0 * fd_step)
+            e[j] = FD_STEP
+            jac[:, j] = (fvec(t + e) - fvec(t - e)) / (2.0 * FD_STEP)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -166,7 +171,7 @@ def solve_crossing_system(p: Params, guess: CrossingSequence, *, max_iter: int =
             accepted = fallback  # exploratory step; the iteration cap bounds this
         t = accepted
     raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations, residual {norm:.3e}"
+        f"no convergence after {NEWTON_MAX_ITER} iterations, residual {norm:.3e}"
     )
 
 
@@ -211,8 +216,9 @@ def lambda_of_x(p: Params, x: float) -> float:
 
     The displacement is strictly increasing in lam (the variational
     derivative of the flow with respect to a constant bias is positive), so
-    a sign change brackets the root.  Local extrema of lam(x) along a scan
-    flag saddle-node candidates of the lam-family.
+    d(0) and one probe at -bound or +bound bracket the root, which
+    bisection then narrows until |d| < 1e-10.  Local extrema of lam(x)
+    along a scan flag saddle-node candidates of the lam-family.
     """
     def disp(lam):
         return displacement_d(replace(p, lam=lam), x)
@@ -221,28 +227,13 @@ def lambda_of_x(p: Params, x: float) -> float:
     if abs(d0) < 1e-10:
         return 0.0
     bound = 10.0 * (1.0 + abs(p.a) + abs(p.b) + abs(p.mu))
-    side = -1.0 if d0 > 0.0 else 1.0
-    delta = bound * 2.0**-50
-    same = 0.0  # last probe with the sign of d0
-    flipped = None
-    for _ in range(60):
-        lam = side * delta
-        val = disp(lam)
-        if val == 0.0:
-            return lam
-        if (val > 0.0) != (d0 > 0.0):
-            flipped = lam
-            break
-        same = lam
-        if delta >= bound:
-            break
-        delta = min(2.0 * delta, bound)
-    if flipped is None:
+    far = -bound if d0 > 0.0 else bound
+    if (disp(far) > 0.0) == (d0 > 0.0):
         raise BracketFailedError(
             f"displacement does not change sign for |lam| <= {bound:.3g}"
         )
-    # d < 0 at the smaller end of the bracket, whichever side it grew on.
-    lo, hi = _bisect(disp, min(same, flipped), max(same, flipped), False, 0.0, ftol=1e-10)
+    # d < 0 at the smaller end of the bracket.
+    lo, hi = _bisect(disp, min(0.0, far), max(0.0, far), False, 0.0, ftol=1e-10)
     if lo != hi:
         raise BracketFailedError("bisection in lam stalled above the 1e-10 target")
     return lo

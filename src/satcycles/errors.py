@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SatcyclesError",
+    "CenterRegimeError",
+    "CountUnstableError",
+    "NoConvergenceError",
+    "OrderViolatedError",
+    "BracketFailedError",
+    "BadRegimeError",
+    "AtBifurcationError",
+    "ZoneSwitchLimitError",
+    "InvariantViolatedError",
+    "UsageError",
+]
+
 
 class SatcyclesError(Exception):
     """Base class for all package-specific errors."""

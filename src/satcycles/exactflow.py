@@ -97,14 +97,11 @@ class Segment:
 class Trajectory:
     """Piecewise record of one solution over [tau, t_end].
 
-    ``a_in_measure`` is the total time spent with |u| <= 1; the half
-    measure is the same restricted to the first half period
-    [tau, tau + pi].
+    ``a_in_measure`` is the total time spent with |u| <= 1.
     """
 
     segments: tuple[Segment, ...]
     a_in_measure: float
-    a_in_half_measure: float
     final_state: float
 
 
@@ -149,6 +146,10 @@ def linear_zone_flow(z: ZoneCoeffs, mu: float, tau: float, x: float, t):
     ``x`` may be arrays too (broadcast against ``t``).  Floats stay on
     ``math``, which is several times cheaper than numpy on scalars; the
     exact type tests keep the dispatch cheap on this hot path.
+
+    The value equals e*(x - v(tau)) + v(t), with e = exp(p*(t - tau)) and v
+    the zone's periodic solution.  Where it leaves the doubles (only a zone
+    with p > 0 grows) it saturates to inf with the sign of x - v(tau).
     """
     if type(t) is ndarray:
         cos, sin = np.cos, np.sin
@@ -162,11 +163,12 @@ def linear_zone_flow(z: ZoneCoeffs, mu: float, tau: float, x: float, t):
         return x + q * dt + mu * (cos_tau(tau) - cos(t))
     e = _exp(p * dt)
     c = p * p + 1.0
-    return (
-        e * x
-        + (q / p) * (e - 1.0)
-        + mu * (e * (p * sin_tau(tau) + cos_tau(tau)) - (p * sin(t) + cos(t))) / c
-    )
+    w = p * sin_tau(tau) + cos_tau(tau)
+    u = e * x + (q / p) * (e - 1.0) + mu * (e * w - (p * sin(t) + cos(t))) / c
+    if p > 0.0 and not (np.isfinite(u).all() if type(u) is ndarray else math.isfinite(u)):
+        side = np.copysign(math.inf, x + q / p + mu * w / c)  # the sign of x - v(tau)
+        u = np.where(np.isfinite(u), u, side) if type(u) is ndarray else float(side)
+    return u
 
 
 def _reach(p, q, mu, x, span, h):
@@ -317,11 +319,10 @@ def _departure_zone(p: Params, tau: float, x: float, t_end: float) -> str:
     return LOWER if xdot < 0.0 else INNER
 
 
-def advance(p: Params, tau: float, x: float, t_end: float,
-            max_switches: int = MAX_SWITCHES) -> Trajectory:
+def advance(p: Params, tau: float, x: float, t_end: float) -> Trajectory:
     """Exact solution over [tau, t_end] chained across zone crossings.
 
-    Fails only when the zone-switch count exceeds ``max_switches``; genuine
+    Fails only when the zone-switch count exceeds MAX_SWITCHES; genuine
     solutions cross at most a few times per period, so hitting the cap
     always signals a tolerance pathology.
     """
@@ -343,9 +344,9 @@ def advance(p: Params, tau: float, x: float, t_end: float,
             break
         s, level = hit
         events += 1
-        if events > max_switches:
+        if events > MAX_SWITCHES:
             raise ZoneSwitchLimitError(
-                f"more than {max_switches} zone contacts in [{tau}, {t_end}]"
+                f"more than {MAX_SWITCHES} zone contacts in [{tau}, {t_end}]"
             )
         # Switch zones only when the flow actually leaves the zone; a grazing
         # contact (zero derivative, no side change just after) is skipped.
@@ -365,13 +366,7 @@ def advance(p: Params, tau: float, x: float, t_end: float,
         seg_x = search_x = float(level)
 
     a_in = sum(s.t_end - s.t_start for s in segments if s.zone == INNER)
-    half_end = tau + math.pi
-    a_half = sum(
-        max(0.0, min(s.t_end, half_end) - s.t_start)
-        for s in segments
-        if s.zone == INNER
-    )
-    return Trajectory(tuple(segments), a_in, a_half, final)
+    return Trajectory(tuple(segments), a_in, final)
 
 # Zone codes of advance_batch, in the order of the levels, and per code:
 # whether -1 and +1 are exits, and the code of the zone entered through each.

@@ -11,11 +11,18 @@ wrappers around the public names (perfbench's tracer) see only scan calls.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CountUnstableError
 
 __all__ = ["scan_roots", "bisect_root"]
+
+# Refinement levels after the base grid before the count is declared
+# unstable, and points inserted into each suspicious cell per level.
+MAX_REFINE = 5
+REFINE_INSERT = 8
 
 
 def _bisect(fun, lo, hi, lo_pos, xtol, ftol=0.0, level=0.0):
@@ -58,20 +65,23 @@ def _suspicious_cells(xs, fs):
         a, b = fs[i], fs[i + 1]
         if a == 0.0 or b == 0.0 or (a > 0.0) != (b > 0.0):
             cells.add(i)
+    # A local minimum of |f| may hide a close root pair; a run of saturated
+    # (infinite) values hides none.
     for i in range(1, n - 1):
-        if abs(fs[i]) <= abs(fs[i - 1]) and abs(fs[i]) <= abs(fs[i + 1]):
+        m = abs(fs[i])
+        if m <= abs(fs[i - 1]) and m <= abs(fs[i + 1]) and m != math.inf:
             cells.add(i - 1)
             cells.add(i)
     return cells
 
 
-def _refine(fun, xs, fs, insert):
-    """Insert ``insert`` points into every suspicious cell; the new points
+def _refine(fun, xs, fs):
+    """Insert REFINE_INSERT points into every suspicious cell; the new points
     go to ``fun`` as one array, in grid order."""
     cells = sorted(_suspicious_cells(xs, fs))
     if not cells:
         return xs, fs
-    fresh = [[float(x) for x in np.linspace(xs[i], xs[i + 1], insert + 2)[1:-1]]
+    fresh = [[float(x) for x in np.linspace(xs[i], xs[i + 1], REFINE_INSERT + 2)[1:-1]]
              for i in cells]
     values = iter(fun(np.array([x for pts in fresh for x in pts])).tolist())
     inserted = dict(zip(cells, fresh))
@@ -87,27 +97,27 @@ def _refine(fun, xs, fs, insert):
     return new_xs, new_fs
 
 
-def scan_roots(fun, lo, hi, n, max_refine=5, insert=8):
+def scan_roots(fun, lo, hi, n):
     """Bracket every sign change of ``fun`` on [lo, hi].
 
     ``fun`` maps a 1-D ndarray of points to the ndarray of its values.  It
     is called once on the base grid and once per refinement level, on that
     level's new points in ascending order.  Returns (exact_roots, brackets)
     where brackets are (x_lo, x_hi, f_lo_positive) triples.  Raises
-    CountUnstableError when the count keeps changing between refinement
-    levels.
+    CountUnstableError when the count still changes after MAX_REFINE
+    refinement levels.
     """
     grid = np.linspace(lo, hi, n)
     xs, fs = grid.tolist(), fun(grid).tolist()
     exact, brackets = _sign_changes(xs, fs)
     counts = [len(exact) + len(brackets)]
     while True:
-        xs, fs = _refine(fun, xs, fs, insert)
+        xs, fs = _refine(fun, xs, fs)
         exact, brackets = _sign_changes(xs, fs)
         counts.append(len(exact) + len(brackets))
         if counts[-1] == counts[-2]:
             return exact, brackets
-        if len(counts) > max_refine:
+        if len(counts) > MAX_REFINE:
             raise CountUnstableError(
                 f"root count did not stabilize across refinements: {counts}"
             )

@@ -14,9 +14,9 @@ variant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-__all__ = ["Params", "SymmetryTransform", "sat", "f_eval", "symmetry_reduce"]
+__all__ = ["Params", "sat", "f_eval"]
 
 
 def sat(x: float) -> float:
@@ -45,16 +45,6 @@ class Params:
                 raise ValueError(f"parameter {name} must be finite, got {v!r}")
 
     @property
-    def product_sign(self) -> str:
-        """Sign of a*b as one of 'neg', 'zero', 'pos' (always recomputed)."""
-        ab = self.a * self.b
-        if ab > 0.0:
-            return "pos"
-        if ab < 0.0:
-            return "neg"
-        return "zero"
-
-    @property
     def a_eff(self) -> float:
         """Outer-zone slope of the effective field eps*f."""
         return self.eps * self.a
@@ -72,37 +62,3 @@ def f_eval(p: Params, x: float) -> float:
     for x >= 1; odd in x and continuous at the breakpoints.
     """
     return p.a * x + (p.b - p.a) * sat(x)
-
-
-@dataclass(frozen=True)
-class SymmetryTransform:
-    """Record of the variable changes applied by :func:`symmetry_reduce`.
-
-    ``phase_shifted`` flips the sign of mu (t -> t + pi), ``time_reversed``
-    flips the signs of both slopes (t -> -t).  Each is an involution.
-    """
-
-    time_reversed: bool = False
-    phase_shifted: bool = False
-
-    def apply(self, p: Params) -> Params:
-        q = p
-        if self.time_reversed:
-            q = replace(q, a=-q.a, b=-q.b)
-        if self.phase_shifted:
-            q = replace(q, mu=-q.mu)
-        return q
-
-
-def symmetry_reduce(p: Params) -> tuple[Params, SymmetryTransform]:
-    """Return an equivalent parameter set with mu >= 0 and the transform used.
-
-    The shift t -> t + pi maps solutions of the mu-equation onto solutions
-    of the (-mu)-equation, so cycle counts and multipliers are preserved;
-    a cycle x0 of the reduced equation corresponds to the cycle through
-    u(pi, 0, x0) of the original one.
-    """
-    if p.mu < 0.0:
-        transform = SymmetryTransform(phase_shifted=True)
-        return transform.apply(p), transform
-    return p, SymmetryTransform()

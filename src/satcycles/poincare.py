@@ -22,6 +22,7 @@ from .exactflow import (
     TWO_PI,
     UPPER,
     P_DEGENERATE,
+    _exp,
     advance,
     advance_batch,
     zone_coeffs,
@@ -50,6 +51,8 @@ NONHYPERBOLIC = "nonhyperbolic"
 
 # Multipliers within this band of 1 are reported as nonhyperbolic.
 HYPERBOLICITY_BAND = 1e-7
+# Roots closer than this are one cycle; Newton polishing stays within it.
+DEDUP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ def displacement_d(p: Params, x):
 
 
 def _multiplier_from_measure(p: Params, a_in_measure: float) -> float:
-    return math.exp(TWO_PI * p.a_eff + (p.b_eff - p.a_eff) * a_in_measure)
+    return _exp(TWO_PI * p.a_eff + (p.b_eff - p.a_eff) * a_in_measure)
 
 
 def dP(p: Params, x: float) -> float:
@@ -161,7 +164,7 @@ def analytic_one_zone_cycles(p: Params) -> list[CycleRecord]:
         if not ok:
             continue
         x0 = center - p.mu / (z.p * z.p + 1.0)
-        mult = math.exp(TWO_PI * z.p)
+        mult = _exp(TWO_PI * z.p)
         records.append(
             CycleRecord(
                 x0=x0,
@@ -194,25 +197,25 @@ def _symmetric_root(p: Params, x_bound: float) -> float:
     return bisect_root(fq, lo, hi, True, xtol=1e-12)
 
 
-def _polish(p: Params, x: float, lo: float, hi: float) -> float:
-    """A few Newton steps on the displacement, using the exact multiplier."""
+def _polish(p: Params, x: float, lo: float, hi: float):
+    """A few Newton steps on the displacement, using the exact multiplier;
+    returns the polished x and its trajectory over one period."""
     for _ in range(4):
         traj = advance(p, 0.0, x, TWO_PI)
         d = traj.final_state - x
         if abs(d) < 1e-13:
-            break
+            return x, traj
         slope = _multiplier_from_measure(p, traj.a_in_measure) - 1.0
         if abs(slope) < 1e-3:
-            break  # near-fold: keep the bisection result
+            return x, traj  # near-fold: keep the bisection result
         nxt = x - d / slope
         if not lo <= nxt <= hi:
-            break
+            return x, traj
         x = nxt
-    return x
+    return x, advance(p, 0.0, x, TWO_PI)
 
 
-def _record(p: Params, x0: float) -> CycleRecord:
-    traj = advance(p, 0.0, x0, TWO_PI)
+def _record(p: Params, x0: float, traj) -> CycleRecord:
     if abs(traj.final_state - x0) >= 1e-9:
         raise CountUnstableError(
             f"refined root x0={x0!r} fails the displacement check "
@@ -229,17 +232,17 @@ def _record(p: Params, x0: float) -> CycleRecord:
     )
 
 
-def find_all_cycles(p: Params, *, grid: int = 4096, tol_root: float = 1e-11,
-                    dedup_tol: float = 1e-7, max_refine: int = 5) -> list[CycleRecord]:
+def find_all_cycles(p: Params, *, grid: int = 4096,
+                    tol_root: float = 1e-11) -> list[CycleRecord]:
     """All limit cycles found by a displacement-sign scan over the trapping band.
 
     The symmetric cycle is located first through the half-map (guaranteed
     unique fixed point); remaining zeros of the displacement are bracketed
-    on an adaptive grid (each level evaluated as one batch), bisected,
-    Newton-polished, and classified by the exact multiplier.  Raises
-    CenterRegimeError in (analytically known) center regimes and
-    CountUnstableError when adjacent grid refinements disagree on the root
-    count.
+    on an adaptive grid (each level evaluated as one batch), bisected to
+    min(tol_root, 1e-12), Newton-polished, and classified by the exact
+    multiplier.  Raises CenterRegimeError in (analytically known) center
+    regimes and CountUnstableError when adjacent grid refinements disagree
+    on the root count.
     """
     regime = classify_regime(p)
     if p.lam == 0.0 and regime.tag in ("global_center", "center_no_cycles"):
@@ -255,7 +258,7 @@ def find_all_cycles(p: Params, *, grid: int = 4096, tol_root: float = 1e-11,
     roots = []
     if p.lam == 0.0:
         roots.append(_symmetric_root(p, bound))
-    exact, brackets = scan_roots(dfun, -bound, bound, grid, max_refine=max_refine)
+    exact, brackets = scan_roots(dfun, -bound, bound, grid)
     roots.extend(exact)
     for lo, hi, lo_pos in brackets:
         roots.append(bisect_root(dfun, lo, hi, lo_pos, xtol=min(tol_root, 1e-12)))
@@ -263,13 +266,12 @@ def find_all_cycles(p: Params, *, grid: int = 4096, tol_root: float = 1e-11,
 
     merged = []
     for r in roots:
-        if merged and abs(r - merged[-1]) < dedup_tol:
+        if merged and abs(r - merged[-1]) < DEDUP_TOL:
             continue
         merged.append(r)
 
     records = []
     for r in merged:
-        x0 = _polish(p, r, r - dedup_tol, r + dedup_tol)
-        records.append(_record(p, x0))
+        records.append(_record(p, *_polish(p, r, r - DEDUP_TOL, r + DEDUP_TOL)))
     records.sort(key=lambda rec: rec.x0)
     return records

@@ -8,6 +8,7 @@ never touches the package's interval algebra).  Because the integrand has
 corners, a plain uniform trapezoid rule stalls at O(h^2); panels are
 therefore aligned to the corners and carry the standard endpoint-derivative
 correction, which restores O(h^4) while staying a trapezoid-based rule.
+``read_csv`` parses the CSV files the command line writes.
 """
 
 import math
@@ -180,3 +181,18 @@ def dp_fd_worst_rel(p, n=100, seed=42, span=4.0, h=1e-5):
         fd = (poincare_P(p, x + h) - poincare_P(p, x - h)) / (2.0 * h)
         worst = max(worst, abs(exact - fd) / max(abs(exact), 1e-30))
     return worst
+
+
+def read_csv(path):
+    """Parse a package CSV back into (meta, header, rows of raw strings)."""
+    meta, header, rows = {}, None, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("# "):
+                key, _, value = line[2:].partition("=")
+                meta[key] = value
+            elif header is None:
+                header = line.split(",")
+            else:
+                rows.append(line.split(","))
+    return meta, header, rows

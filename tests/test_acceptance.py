@@ -21,9 +21,10 @@ from satcycles import (
     find_all_cycles,
     residual_direct,
 )
-from satcycles.cli import main, read_csv
+from satcycles.cli import main
 from satcycles.gridscan import bisect_root, scan_roots
 import oracles
+from oracles import read_csv
 
 TWO_PI = 2.0 * math.pi
 

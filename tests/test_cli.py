@@ -3,7 +3,9 @@ import math
 import pytest
 
 from satcycles import cli
-from satcycles.cli import main, read_csv, write_csv
+from satcycles.cli import main, write_csv
+
+from oracles import read_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,6 +69,13 @@ class TestCycles:
             assert code == 0
             counts.append(int(out.split(" ")[0]))
         assert counts == [3, 3, 3]
+
+
+    def test_saturated_flow_exits_3_with_one_error_line(self, capsys):
+        # the one_lower cycle's multiplier exp(2*pi*200) leaves the doubles
+        code, _, err = run(capsys, ["cycles", "--a", "200", "--b", "-1", "--mu", "1"])
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestScan:
@@ -259,6 +268,35 @@ class TestConfig:
         cfg.write_text("a = -1\nb = 1\nmu = 1.2\n")
         code, out, _ = run(capsys, ["regime", "--config", str(cfg), "--b", "0", "--a", "0"])
         assert code == 0 and "global_center" in out
+
+
+    def test_flag_spellings_are_keys(self, capsys, tmp_path):
+        out_path = tmp_path / "cycles.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"a = -1\nb = 1\nmu = 1.2\nlambda = 0.3\ntol-root = 1e-12\n"
+                       f"grid = 256\nout = {out_path}\n")
+        code, out, _ = run(capsys, ["cycles", "--config", str(cfg)])
+        assert code == 0 and "lambda=0.3" in out.splitlines()[0]
+        meta, _, _ = read_csv(out_path)
+        assert (meta["lambda"], meta["tol_root"], meta["grid"]) == ("0.3", "1e-12", "256")
+
+    @pytest.mark.parametrize("text", [
+        "a = abc\nb = 1\n",
+        "a = -1\nb = 1\ngrid = 64.5\n",
+        "a = -1\nb = 1\nalpha = 2\n",
+        "a = nan\nb = 1\n",
+    ], ids=["bad-float", "bad-int", "unknown-key", "non-finite"])
+    def test_bad_value_or_unknown_key_exit_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, _, err = run(capsys, ["regime", "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unreadable_file_exit_4(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["regime", "--config", str(tmp_path / "missing.cfg")])
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCsvRoundTrip:

@@ -21,6 +21,7 @@ from satcycles import (
     sample,
     solve_crossing_system,
 )
+from satcycles import crossings
 from satcycles.crossings import _residual_direct_raw
 
 TWO_PI = 2.0 * math.pi
@@ -120,9 +121,10 @@ class TestResiduals:
 
 
 class TestSolver:
-    def test_converges_quickly_from_extracted_seed(self, three_zonal_case):
+    def test_converges_quickly_from_extracted_seed(self, three_zonal_case, monkeypatch):
         p, _, cs = three_zonal_case
-        sol = solve_crossing_system(p, cs, max_iter=5)
+        monkeypatch.setattr(crossings, "NEWTON_MAX_ITER", 5)
+        sol = solve_crossing_system(p, cs)
         assert np.max(np.abs(residual_direct(p, sol))) < 1e-10
 
     def test_idempotent_on_its_own_output(self, three_zonal_case):
@@ -156,6 +158,22 @@ class TestLambdaOfX:
             lam = lambda_of_x(p, x)
             biased = dataclasses.replace(p, lam=lam)
             assert abs(displacement_d(biased, x)) < 1e-10
+
+    def test_bisects_the_whole_bracket_directly(self, monkeypatch):
+        # d(0), one probe at the bound, then about 39 halvings of [0, bound]
+        calls = []
+
+        def counting(p, x):
+            calls.append(p.lam)
+            return displacement_d(p, x)
+
+        monkeypatch.setattr(crossings, "displacement_d", counting)
+        p = Params(a=-0.05, b=0.05, mu=1.5)
+        for x in (-3.0, -2.2, -1.5, -0.6, 0.0):
+            calls.clear()
+            lam = lambda_of_x(p, x)
+            assert len(calls) <= 45
+            assert abs(displacement_d(dataclasses.replace(p, lam=lam), x)) < 1e-10
 
     def test_continuity_on_a_scan_grid(self):
         p = Params(a=-1, b=1, mu=1.3)

@@ -5,6 +5,7 @@ import pytest
 
 from satcycles import (
     INNER,
+    UPPER,
     Params,
     ZoneCoeffs,
     ZoneSwitchLimitError,
@@ -49,6 +50,18 @@ class TestLinearZoneFlow:
         a = linear_zone_flow(z0, 1.1, 0.2, 0.4, 5.0)
         b = linear_zone_flow(z1, 1.1, 0.2, 0.4, 5.0)
         assert a == pytest.approx(b, abs=1e-8)
+
+
+    def test_saturates_to_the_side_of_the_periodic_solution(self):
+        # upper zone of a=200, b=-1: v(0) is about 1.005, and the exponent
+        # p*t passes its saturation point at t = 3.545
+        z = zone_coeffs(Params(a=200, b=-1, mu=1), UPPER)
+        assert linear_zone_flow(z, 1.0, 0.0, 3.0, 4.0) == math.inf
+        assert linear_zone_flow(z, 1.0, 0.0, -3.0, 4.0) == -math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = linear_zone_flow(z, 1.0, np.zeros(3), np.array([3.0, -3.0, 3.0]),
+                                   np.array([4.0, 4.0, 1.0]))
+        assert out[0] == math.inf and out[1] == -math.inf and math.isfinite(out[2])
 
 
 class TestFirstCrossing:
@@ -107,7 +120,6 @@ class TestAdvance:
         assert [s.zone for s in traj.segments] == ["inner", "upper", "inner"]
         assert traj.final_state == pytest.approx(0.0, abs=1e-10)
         assert traj.a_in_measure == pytest.approx(math.pi, abs=1e-9)
-        assert traj.a_in_half_measure == pytest.approx(math.pi / 2.0, abs=1e-9)
 
     def test_boundary_start_moves_with_the_field(self):
         # x0 = 1 with positive drift belongs to the upper zone immediately
@@ -129,7 +141,6 @@ class TestAdvance:
             assert s0.zone != s1.zone
         inner_total = sum(s.t_end - s.t_start for s in segs if s.zone == INNER)
         assert abs(inner_total - traj.a_in_measure) <= 1e-10
-        assert traj.a_in_half_measure <= traj.a_in_measure + 1e-15
         last = segs[-1]
         z = zone_coeffs(p, last.zone)
         assert traj.final_state == linear_zone_flow(z, p.mu, last.t_start, last.entry_state, t_end)
@@ -139,10 +150,21 @@ class TestAdvance:
             end_val = linear_zone_flow(z0, p.mu, s0.t_start, s0.entry_state, s0.t_end)
             assert abs(end_val - s1.entry_state) < 1e-10
 
-    def test_switch_cap_raises(self):
+    def test_switch_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(exactflow, "MAX_SWITCHES", 1)
         p = Params(a=0, b=0, mu=1)
         with pytest.raises(ZoneSwitchLimitError):
-            advance(p, 0.0, 0.0, TWO_PI, max_switches=1)
+            advance(p, 0.0, 0.0, TWO_PI)
+
+    def test_saturated_flow_diverges_without_a_false_switch(self):
+        # the outer-zone solutions leave the doubles at t ~ 3.545; the
+        # saturated values are a divergence, not a crossing of a level
+        p = Params(a=200, b=-1, mu=1)
+        for x, final, zone in ((3.0, math.inf, UPPER), (-3.0, -math.inf, "lower")):
+            traj = advance(p, 0.0, x, TWO_PI)
+            assert traj.final_state == final
+            assert [s.zone for s in traj.segments] == [zone]
+        assert advance_batch(p, np.array([3.0, -3.0]), TWO_PI).tolist() == [math.inf, -math.inf]
 
     def test_sample_matches_endpoints_and_events(self):
         p = Params(a=-1, b=1, mu=1.5)

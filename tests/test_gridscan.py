@@ -30,6 +30,21 @@ class TestBisectRoot:
 
 
 
+def test_saturated_plateaus_are_not_refined():
+    # a run of infinite values (a flow that left the doubles) hides no root
+    # pair; only the cells around the sign change and the minimum of |f|
+    # get new points
+    sizes = []
+
+    def fun(xs):
+        sizes.append(xs.size)
+        return np.where(xs > 0.5, np.inf, xs - 0.23)
+
+    exact, brackets = scan_roots(fun, -1.0, 1.0, 41)
+    assert exact == [] and [(lo < 0.23 < hi) for lo, hi, _ in brackets] == [True]
+    assert sizes[0] == 41 and max(sizes[1:]) <= 3 * 8
+
+
 def _scan_roots_pointwise(fun, lo, hi, n, max_refine=5, insert=8):
     """The scan as it was before the array contract: one call per point.
     Reference for the order of the points and for the result."""

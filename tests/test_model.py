@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from satcycles import Params, SymmetryTransform, advance, displacement_d, f_eval, sat, symmetry_reduce
+from satcycles import Params, advance, displacement_d, f_eval, sat
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -36,14 +37,11 @@ def test_f_eval_odd(a, b, x):
     assert f_eval(p, -x) == -f_eval(p, x)
 
 
-def test_params_validation_and_product_sign():
+def test_params_validation():
     with pytest.raises(ValueError):
         Params(a=math.inf, b=0, mu=0)
     with pytest.raises(ValueError):
         Params(a=0, b=math.nan, mu=0)
-    assert Params(a=-1, b=1, mu=0).product_sign == "neg"
-    assert Params(a=2, b=3, mu=0).product_sign == "pos"
-    assert Params(a=0, b=3, mu=0).product_sign == "zero"
 
 
 def test_effective_slopes():
@@ -52,39 +50,14 @@ def test_effective_slopes():
     assert p.b_eff == 1.0
 
 
-def test_symmetry_reduce_flips_negative_mu():
-    p = Params(a=-1, b=1, mu=-2)
-    reduced, transform = symmetry_reduce(p)
-    assert reduced.mu == 2.0
-    assert transform.phase_shifted and not transform.time_reversed
-
-
-def test_symmetry_reduce_identity_for_nonnegative_mu():
-    p = Params(a=-1, b=1, mu=2)
-    reduced, transform = symmetry_reduce(p)
-    assert reduced == p
-    assert transform == SymmetryTransform()
-
-
-def test_transform_is_involution():
-    p = Params(a=-1, b=1, mu=-2, eps=0.7, lam=0.1)
-    reduced, transform = symmetry_reduce(p)
-    assert transform.apply(transform.apply(p)) == p
-    assert transform.apply(reduced) == p
-    # reducing an already reduced set records the identity
-    again, transform2 = symmetry_reduce(reduced)
-    assert again == reduced and transform2 == SymmetryTransform()
-    full = SymmetryTransform(time_reversed=True, phase_shifted=True)
-    assert full.apply(full.apply(p)) == p
-
-
 def test_reduction_maps_cycles_onto_cycles():
+    # the shift t -> t + pi maps the mu-equation onto the (-mu)-equation:
     # cycles of the reduced (mu >= 0) equation, pushed through u(pi, 0, .),
     # are cycles of the original equation with matching multipliers
     from satcycles import find_all_cycles
 
     original = Params(a=-1, b=1, mu=-1.2)
-    reduced, _ = symmetry_reduce(original)
+    reduced = replace(original, mu=-original.mu)
     recs_red = find_all_cycles(reduced)
     recs_orig = find_all_cycles(original)
     assert len(recs_red) == len(recs_orig) == 3

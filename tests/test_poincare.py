@@ -18,6 +18,7 @@ from satcycles import (
     linear_zone_flow,
     poincare_P,
 )
+from satcycles import gridscan, poincare
 from satcycles.gridscan import scan_roots
 
 TWO_PI = 2.0 * math.pi
@@ -156,7 +157,45 @@ class TestFindAllCycles:
             assert rec.symmetric == (abs(half_Q(Params(a=-1, b=1, mu=1.2), rec.x0) - rec.x0) < 1e-9)
 
 
-def test_scan_instability_is_reported():
+    def test_each_cycle_is_integrated_once_after_polishing(self, monkeypatch):
+        # the record reuses the last trajectory of the Newton polish, so no
+        # x is integrated over a period twice from the polish on
+        polish, runs = poincare._polish, [[]]
+
+        def counting(p, tau, x, t_end):
+            if t_end == TWO_PI:
+                runs[-1].append(x)
+            return advance(p, tau, x, t_end)
+
+        def marking(*args):
+            runs.append([])
+            return polish(*args)
+
+        monkeypatch.setattr(poincare, "advance", counting)
+        monkeypatch.setattr(poincare, "_polish", marking)
+        assert len(find_all_cycles(Params(a=-1, b=1, mu=1.2))) == 3
+        assert len(runs) == 4
+        assert all(xs and len(xs) == len(set(xs)) for xs in runs[1:])
+
+
+class TestSaturation:
+    # a = 200 puts exp(2*pi*a) and the outer-zone flows beyond the doubles
+    def test_multipliers_saturate_to_inf(self):
+        p = Params(a=200, b=-1, mu=1)
+        assert dP(p, 3.0) == math.inf
+        records = analytic_one_zone_cycles(p)
+        assert [r.zonal_type for r in records] == ["one_lower", "one_inner", "one_upper"]
+        assert records[0].multiplier == records[2].multiplier == math.inf
+
+    def test_diverging_rows_add_no_cycle(self):
+        # a*b > 0: exactly one cycle, the inner one; the rows that diverge
+        # to +inf and -inf must not bracket a second one
+        records = find_all_cycles(Params(a=120, b=1, mu=1))
+        assert [(r.zonal_type, r.symmetric) for r in records] == [("one_inner", True)]
+
+
+def test_scan_instability_is_reported(monkeypatch):
     # a frequency far above the base grid keeps revealing new sign changes
+    monkeypatch.setattr(gridscan, "MAX_REFINE", 3)
     with pytest.raises(CountUnstableError):
-        scan_roots(lambda x: np.sin(3000.0 * x), 0.0, 1.0, 16, max_refine=3)
+        scan_roots(lambda x: np.sin(3000.0 * x), 0.0, 1.0, 16)
