@@ -45,7 +45,6 @@ _DEFAULTS = {
     "eps": 1.0,
     "lam": 0.0,
     "out": None,
-    "tol_root": 1e-11,
     "tol_residual": 1e-10,
     "grid": 4096,
 }
@@ -117,7 +116,7 @@ def _cycles_rows(records):
 
 def cmd_cycles(args) -> int:
     p = _params(args)
-    records = find_all_cycles(p, grid=args.grid, tol_root=args.tol_root)
+    records = find_all_cycles(p, grid=args.grid)
     header = ["x0", "zonal_type", "multiplier", "stability", "symmetric"]
     rows = _cycles_rows(records)
     print(f"{len(records)} limit cycle(s) for a={fmt(p.a)} b={fmt(p.b)} "
@@ -140,7 +139,6 @@ def _meta(command, p, args, **extra):
         "mu": fmt(p.mu),
         "eps": fmt(p.eps),
         "lambda": fmt(p.lam),
-        "tol_root": fmt(args.tol_root),
         "tol_residual": fmt(args.tol_residual),
         "grid": str(args.grid),
     }
@@ -149,9 +147,9 @@ def _meta(command, p, args, **extra):
 
 
 def _scan_cell(task):
-    a, b, mu, eps, lam, grid, tol_root = task
+    a, b, mu, eps, lam, grid = task
     p = Params(a=a, b=b, mu=mu, eps=eps, lam=lam)
-    records = find_all_cycles(p, grid=grid, tol_root=tol_root)
+    records = find_all_cycles(p, grid=grid)
     return ScanRow(
         mu=mu,
         eps=eps,
@@ -162,13 +160,16 @@ def _scan_cell(task):
 
 
 def cmd_scan(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
     p = _params(args)
-    eps_list = [float(v) for v in args.eps_list.split(",")] if args.eps_list else [p.eps]
+    try:
+        eps_list = [float(v) for v in args.eps_list.split(",")] if args.eps_list else [p.eps]
+        if not all(map(math.isfinite, eps_list)):
+            raise ValueError
+    except ValueError:
+        raise UsageError(f"--eps-list {args.eps_list!r} is not a list of finite numbers") from None
     mus = np.linspace(args.mu_min, args.mu_max, args.n)
     tasks = [
-        (p.a, p.b, float(mu), eps, p.lam, args.grid, args.tol_root)
+        (p.a, p.b, float(mu), eps, p.lam, args.grid)
         for eps in sorted(eps_list)
         for mu in mus
     ]
@@ -263,7 +264,7 @@ def cmd_orbit3d(args) -> int:
 
 def cmd_crossings(args) -> int:
     p = _params(args)
-    records = find_all_cycles(p, grid=args.grid, tol_root=args.tol_root)
+    records = find_all_cycles(p, grid=args.grid)
     three_zonal = [r for r in records if r.zonal_type == "three_zonal"]
     if not three_zonal:
         print("no three-zonal cycles")
@@ -284,8 +285,8 @@ def cmd_crossings(args) -> int:
 
 def _load_config(path):
     """Typed values of a key = value file.  A key is a common flag, spelled
-    as on the command line (``tol-root``, ``lambda``) or as its attribute
-    (``tol_root``, ``lam``)."""
+    as on the command line (``tol-residual``, ``lambda``) or as its attribute
+    (``tol_residual``, ``lam``)."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -312,6 +313,12 @@ def _finalize_args(args):
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, config.get(key, default))
+    for key in ("grid", "n", "samples"):
+        if getattr(args, key, 2) < 2:
+            raise UsageError(f"--{key} must be >= 2")
+    for key in ("x", "x0", "mu_min", "mu_max"):
+        if not math.isfinite(getattr(args, key, 0.0)):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite")
     return args
 
 
@@ -323,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eps", type=float, help="field scale (default 1)")
     common.add_argument("--lambda", dest="lam", type=float, help="constant bias (default 0)")
     common.add_argument("--out", help="output CSV path")
-    common.add_argument("--tol-root", dest="tol_root", type=float,
-                        help="root refinement tolerance (default 1e-11); roots "
-                             "are bisected to min(tol_root, 1e-12), so every value "
-                             ">= 1e-12 gives the same result")
     common.add_argument("--tol-residual", dest="tol_residual", type=float,
                         help="residual tolerance for reports (default 1e-10)")
     common.add_argument("--grid", type=int, help="scan grid size (default 4096)")
@@ -358,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     zs = sub.add_parser("zeroset", parents=[common],
                         help="export the averaging-function zero set")
-    zs.add_argument("--samples", type=int, default=400)
+    zs.add_argument("--samples", type=int, default=400, help="branch samples (>= 2)")
 
     orb = sub.add_parser("orbit3d", parents=[common],
                          help="export a cycle on its invariant cylinder")
     orb.add_argument("--x0", type=float, required=True)
-    orb.add_argument("--samples", type=int, default=256)
+    orb.add_argument("--samples", type=int, default=256, help="orbit samples (>= 2)")
 
     sub.add_parser("crossings", parents=[common],
                    help="three-zonal crossing-time residual report")

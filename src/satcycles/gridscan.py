@@ -4,9 +4,10 @@ Shared by the cycle finder and the Melnikov zero counter.  A uniform base
 grid is refined around local minima of |f| (where close root pairs hide)
 and around existing sign changes until two consecutive refinement levels
 agree on the root count; persistent disagreement is reported, never
-silently resolved.  The bisection loop here is the package's only one.
-The contact search, phi and lambda_of_x call it under its private name, so
-wrappers around the public names (perfbench's tracer) see only scan calls.
+silently resolved.  Private refiners of one bracket, unseen by wrappers of
+the public names (perfbench's tracer): ``_bisect`` for contact times and
+lambda_of_x (``exactflow._contact_times`` bisects rows in its own loop),
+and ``_newton_bracket`` on an exact slope for cycle roots and phi.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import CountUnstableError
 
-__all__ = ["scan_roots", "bisect_root"]
+__all__ = ["scan_roots"]
 
 # Refinement levels after the base grid before the count is declared
 # unstable, and points inserted into each suspicious cell per level.
@@ -41,6 +42,38 @@ def _bisect(fun, lo, hi, lo_pos, xtol, ftol=0.0, level=0.0):
         else:
             hi = mid
     return lo, hi
+
+
+def _newton_bracket(fun, lo, hi, lo_pos, xtol):
+    """Root of ``fun`` in [lo, hi] (positive at lo iff ``lo_pos``), where
+    ``fun(x)`` returns (value, slope).  From the midpoint, it takes a Newton
+    step when the slope is finite and nonzero and the step lands in the
+    closed bracket at most half as long as the step before the previous one
+    (as rtsafe does), and bisects otherwise.  It stops at an exact zero, at a
+    step that rounds to the current point, after evaluating the end of a step
+    shorter than ``xtol``, or at a bracket ``xtol`` or one ulp wide, and
+    returns the evaluated point with the smallest |value|."""
+    x, last, before = 0.5 * (lo + hi), hi - lo, hi - lo
+    best, best_f = x, math.inf
+    while True:
+        f, slope = fun(x)
+        if abs(f) < best_f:
+            best, best_f = x, abs(f)
+        if (f > 0.0) == lo_pos:
+            lo = x
+        else:
+            hi = x
+        mid = 0.5 * (lo + hi)
+        if f == 0.0 or last < xtol or hi - lo <= xtol or not lo < mid < hi:
+            return best
+        step = f / slope if 0.0 != abs(slope) < math.inf else math.inf
+        nxt = x - step
+        if nxt == x:
+            return best
+        if not (lo <= nxt <= hi and 2.0 * abs(step) <= before):
+            nxt = mid
+        before, last = last, abs(nxt - x)
+        x = nxt
 
 
 def _sign_changes(xs, fs):
@@ -121,9 +154,3 @@ def scan_roots(fun, lo, hi, n):
             raise CountUnstableError(
                 f"root count did not stabilize across refinements: {counts}"
             )
-
-
-def bisect_root(fun, lo, hi, f_lo_positive, xtol=1e-12):
-    """Plain bisection of a bracketed sign change down to width ``xtol``."""
-    lo, hi = _bisect(fun, lo, hi, f_lo_positive, xtol)
-    return 0.5 * (lo + hi)

@@ -26,7 +26,7 @@ from .errors import (
     InvariantViolatedError,
 )
 from .exactflow import TWO_PI
-from .gridscan import _bisect, scan_roots
+from .gridscan import _newton_bracket, scan_roots
 from .model import Params
 
 __all__ = [
@@ -224,8 +224,8 @@ def phi(x: float, p: Params) -> float:
     """The unique mu > 0 with M_shift(x, mu) = 0 for x in [0, 1 - b/a].
 
     Endpoints are returned analytically (phi(0) = mu2, phi(1 - b/a) = -b/a);
-    interior values come from bisection on (0, 2*mu1], which is total
-    because the root in mu is unique.
+    interior values come from Newton on the exact slope Mmu, safeguarded on
+    (0, 2*mu1], which is total because the root in mu is unique.
     """
     bv = bif_values(p)
     width = 1.0 - p.b / p.a
@@ -240,8 +240,8 @@ def phi(x: float, p: Params) -> float:
     f_hi = M_shift(x, hi, p)
     if f_lo == 0.0 or f_hi == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketFailedError(f"no sign change in mu on (0, {hi:.3g}] at x={x}")
-    lo, hi = _bisect(lambda mu: M_shift(x, mu, p), 0.0, hi, f_lo > 0.0, 1e-14)
-    return 0.5 * (lo + hi)
+    return _newton_bracket(lambda mu: (M_shift(x, mu, p), Mmu(x, mu, p)),
+                           0.0, hi, f_lo > 0.0, 1e-14)
 
 
 def phi_branch(p: Params, n_samples: int = 400) -> ZeroSetBranch:

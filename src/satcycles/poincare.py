@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from numpy import ndarray
 
-from .errors import CenterRegimeError, CountUnstableError
+from .errors import CenterRegimeError, CountUnstableError, InvariantViolatedError
 from .exactflow import (
     INNER,
     LOWER,
@@ -27,7 +28,7 @@ from .exactflow import (
     advance_batch,
     zone_coeffs,
 )
-from .gridscan import bisect_root, scan_roots
+from .gridscan import _newton_bracket, scan_roots
 from .model import Params
 
 __all__ = [
@@ -51,8 +52,9 @@ NONHYPERBOLIC = "nonhyperbolic"
 
 # Multipliers within this band of 1 are reported as nonhyperbolic.
 HYPERBOLICITY_BAND = 1e-7
-# Roots closer than this are one cycle; Newton polishing stays within it.
+# Roots closer than DEDUP_TOL are one cycle; ROOT_XTOL ends their refinement.
 DEDUP_TOL = 1e-7
+ROOT_XTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -178,50 +180,27 @@ def analytic_one_zone_cycles(p: Params) -> list[CycleRecord]:
     return records
 
 
-def _symmetric_root(p: Params, x_bound: float) -> float:
-    """Unique fixed point of the strictly decreasing half-map Q."""
+def _symmetric_root(p: Params, bound: float) -> float:
+    """Unique fixed point of the strictly decreasing half-map Q in [-bound, bound]."""
     def fq(x):
-        return half_Q(p, x) - x
+        traj = advance(p, 0.0, x, math.pi)
+        slope = -_exp(math.pi * p.a_eff + (p.b_eff - p.a_eff) * traj.a_in_measure)
+        return -traj.final_state - x, slope - 1.0
 
-    lo, hi = -x_bound, x_bound
-    f_lo, f_hi = fq(lo), fq(hi)
-    grow = 0
-    while f_lo <= 0.0 and grow < 60:
-        lo *= 2.0
-        f_lo = fq(lo)
-        grow += 1
-    while f_hi >= 0.0 and grow < 60:
-        hi *= 2.0
-        f_hi = fq(hi)
-        grow += 1
-    return bisect_root(fq, lo, hi, True, xtol=1e-12)
-
-
-def _polish(p: Params, x: float, lo: float, hi: float):
-    """A few Newton steps on the displacement, using the exact multiplier;
-    returns the polished x and its trajectory over one period."""
-    for _ in range(4):
-        traj = advance(p, 0.0, x, TWO_PI)
-        d = traj.final_state - x
-        if abs(d) < 1e-13:
-            return x, traj
-        slope = _multiplier_from_measure(p, traj.a_in_measure) - 1.0
-        if abs(slope) < 1e-3:
-            return x, traj  # near-fold: keep the bisection result
-        nxt = x - d / slope
-        if not lo <= nxt <= hi:
-            return x, traj
-        x = nxt
-    return x, advance(p, 0.0, x, TWO_PI)
+    # The band is invariant (repelling when a_eff > 0): Q(x) - x changes sign.
+    if not fq(-bound)[0] > 0.0 > fq(bound)[0]:
+        raise InvariantViolatedError(f"Q(x) - x has no sign change on [-{bound}, {bound}]")
+    return _newton_bracket(fq, -bound, bound, True, ROOT_XTOL)
 
 
 def _record(p: Params, x0: float, traj) -> CycleRecord:
-    if abs(traj.final_state - x0) >= 1e-9:
-        raise CountUnstableError(
-            f"refined root x0={x0!r} fails the displacement check "
-            f"(|d|={abs(traj.final_state - x0):.3e})"
-        )
+    """Classify a refined root, confirmed by |d| < 1e-9 or by a Newton step of
+    at most one ulp (a multiplier so large that no double brings |d| there)."""
+    d = traj.final_state - x0
     mult = _multiplier_from_measure(p, traj.a_in_measure)
+    if not (abs(d) < 1e-9 or abs(d) <= abs(mult - 1.0) * math.ulp(x0) < math.inf):
+        raise CountUnstableError(
+            f"refined root x0={x0!r} fails the displacement check (|d|={abs(d):.3e})")
     symmetric = p.lam == 0.0 and abs(half_Q(p, x0) - x0) < 1e-9
     return CycleRecord(
         x0=x0,
@@ -232,17 +211,16 @@ def _record(p: Params, x0: float, traj) -> CycleRecord:
     )
 
 
-def find_all_cycles(p: Params, *, grid: int = 4096,
-                    tol_root: float = 1e-11) -> list[CycleRecord]:
+def find_all_cycles(p: Params, *, grid: int = 4096) -> list[CycleRecord]:
     """All limit cycles found by a displacement-sign scan over the trapping band.
 
     The symmetric cycle is located first through the half-map (guaranteed
     unique fixed point); remaining zeros of the displacement are bracketed
-    on an adaptive grid (each level evaluated as one batch), bisected to
-    min(tol_root, 1e-12), Newton-polished, and classified by the exact
-    multiplier.  Raises CenterRegimeError in (analytically known) center
-    regimes and CountUnstableError when adjacent grid refinements disagree
-    on the root count.
+    on an adaptive grid (each level evaluated as one batch), refined by
+    ``gridscan._newton_bracket`` on the exact slope dP - 1, and classified
+    by the exact multiplier.  Raises CenterRegimeError in (analytically
+    known) center regimes and CountUnstableError when adjacent grid
+    refinements disagree on the root count or a root fails its check.
     """
     regime = classify_regime(p)
     if p.lam == 0.0 and regime.tag in ("global_center", "center_no_cycles"):
@@ -252,26 +230,17 @@ def find_all_cycles(p: Params, *, grid: int = 4096,
     equil = abs(1.0 - p.b / p.a) if p.a != 0.0 else 1.0
     bound = equil + abs(p.mu) * (1.0 + 1.0 / max(abs(p.a_eff), 1e-6)) + 1.0
 
-    def dfun(x):
-        return displacement_d(p, x)
+    trajs = {}  # every point the refinement evaluated, for the records
 
-    roots = []
-    if p.lam == 0.0:
-        roots.append(_symmetric_root(p, bound))
-    exact, brackets = scan_roots(dfun, -bound, bound, grid)
-    roots.extend(exact)
-    for lo, hi, lo_pos in brackets:
-        roots.append(bisect_root(dfun, lo, hi, lo_pos, xtol=min(tol_root, 1e-12)))
-    roots.sort()
+    def d_and_slope(x):
+        traj = trajs[x] = advance(p, 0.0, x, TWO_PI)
+        return traj.final_state - x, _multiplier_from_measure(p, traj.a_in_measure) - 1.0
 
-    merged = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < DEDUP_TOL:
-            continue
-        merged.append(r)
-
+    roots = [_symmetric_root(p, bound)] if p.lam == 0.0 else []
+    exact, brackets = scan_roots(partial(displacement_d, p), -bound, bound, grid)
+    roots += exact + [_newton_bracket(d_and_slope, *b, ROOT_XTOL) for b in brackets]
     records = []
-    for r in merged:
-        records.append(_record(p, *_polish(p, r, r - DEDUP_TOL, r + DEDUP_TOL)))
-    records.sort(key=lambda rec: rec.x0)
+    for r in sorted(roots):
+        if not records or abs(r - records[-1].x0) >= DEDUP_TOL:
+            records.append(_record(p, r, trajs[r] if r in trajs else advance(p, 0.0, r, TWO_PI)))
     return records

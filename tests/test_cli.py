@@ -152,6 +152,28 @@ class TestRefusals:
         assert code == 2 and out == ""
         assert err == "error: --a and --b are required (flags or --config)\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--a", "-1", "--b", "1", "--mu-min", "1", "--mu-max", "2", "--n", "2",
+         "--eps-list", "abc"],
+        ["scan", "--a", "-1", "--b", "1", "--mu-min", "nan", "--mu-max", "2", "--n", "2"],
+        ["scan", "--a", "-1", "--b", "1", "--mu-min", "1", "--mu-max", "2", "--n", "2",
+         "--eps-list", "0.05,inf"],
+        ["zeroset", "--a", "-1", "--b", "1", "--samples", "0", "--out", "z.csv"],
+        ["zeroset", "--a", "-1", "--b", "1", "--samples", "1", "--out", "z.csv"],
+        ["orbit3d", "--a", "-1", "--b", "1", "--x0", "0", "--samples", "-1", "--out", "o.csv"],
+        ["orbit3d", "--a", "-1", "--b", "1", "--x0", "nan", "--out", "o.csv"],
+        ["melnikov", "--a", "-1", "--b", "1", "--x", "nan"],
+        ["cycles", "--a", "-1", "--b", "1", "--mu", "1", "--grid", "1"],
+        ["cycles", "--a", "-1", "--b", "1", "--mu", "1", "--grid", "0"],
+    ], ids=["eps-list-abc", "mu-min-nan", "eps-list-inf", "samples-0", "samples-1",
+            "orbit-samples-negative", "x0-nan", "x-nan", "grid-1", "grid-0"])
+    def test_bad_numbers_exit_2_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_missing_out_is_refused_before_the_zero_set(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("zero_set ran before --out was checked")
@@ -273,12 +295,12 @@ class TestConfig:
     def test_flag_spellings_are_keys(self, capsys, tmp_path):
         out_path = tmp_path / "cycles.csv"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"a = -1\nb = 1\nmu = 1.2\nlambda = 0.3\ntol-root = 1e-12\n"
+        cfg.write_text(f"a = -1\nb = 1\nmu = 1.2\nlambda = 0.3\ntol-residual = 1e-12\n"
                        f"grid = 256\nout = {out_path}\n")
         code, out, _ = run(capsys, ["cycles", "--config", str(cfg)])
         assert code == 0 and "lambda=0.3" in out.splitlines()[0]
         meta, _, _ = read_csv(out_path)
-        assert (meta["lambda"], meta["tol_root"], meta["grid"]) == ("0.3", "1e-12", "256")
+        assert (meta["lambda"], meta["tol_residual"], meta["grid"]) == ("0.3", "1e-12", "256")
 
     @pytest.mark.parametrize("text", [
         "a = abc\nb = 1\n",
@@ -309,3 +331,50 @@ class TestCsvRoundTrip:
         again = tmp_path / "again.csv"
         write_csv(again, *read_csv(path))
         assert path.read_bytes() == again.read_bytes()
+
+
+# Every numeric option of every subcommand, each set to a value that is not a
+# number, not finite, zero and negative, on top of arguments that run fast.
+_FAST_ARGS = {
+    "regime": ["--a", "-1", "--b", "1", "--mu", "1.2"],
+    "bifvalues": ["--a", "-1", "--b", "1"],
+    "cycles": ["--a", "-1", "--b", "1", "--mu", "1.2", "--grid", "256"],
+    "scan": ["--a", "-1", "--b", "1", "--mu-min", "1", "--mu-max", "1.2", "--n", "2",
+             "--grid", "256"],
+    "melnikov": ["--a", "-1", "--b", "1", "--mu", "2", "--x", "1"],
+    "zeroset": ["--a", "-1", "--b", "1", "--samples", "16", "--out", "z.csv"],
+    "orbit3d": ["--a", "-1", "--b", "1", "--mu", "1.2", "--x0", "1.4", "--samples", "16",
+                "--out", "o.csv"],
+    "crossings": ["--a", "-1", "--b", "1", "--mu", "1.2", "--grid", "256"],
+}
+_COMMON_NUMBERS = ["--a", "--b", "--mu", "--eps", "--lambda", "--tol-residual", "--grid"]
+_OWN_NUMBERS = {
+    "scan": ["--mu-min", "--mu-max", "--n", "--eps-list", "--workers"],
+    "melnikov": ["--x"],
+    "zeroset": ["--samples"],
+    "orbit3d": ["--x0", "--samples"],
+}
+
+
+def _with_option(command, option, value):
+    argv = [command, *_FAST_ARGS[command]]
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_FAST_ARGS))
+def test_every_numeric_option_maps_bad_values_to_an_exit_code(capsys, tmp_path, monkeypatch,
+                                                              command):
+    monkeypatch.chdir(tmp_path)
+    for option in _COMMON_NUMBERS + _OWN_NUMBERS.get(command, []):
+        for value in ("abc", "nan", "0", "-1"):
+            argv = _with_option(command, option, value)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value it cannot parse
+                code = exc.code
+            capsys.readouterr()
+            assert code in (0, 2, 3, 4), argv

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from satcycles.gridscan import bisect_root, scan_roots
+from satcycles.gridscan import _bisect, _newton_bracket, scan_roots
 
 
 class _EvalLimit(Exception):
@@ -20,14 +22,78 @@ def counted(fun, limit):
     return wrapper, calls
 
 
-class TestBisectRoot:
+class TestBisect:
     def test_stops_when_the_bracket_is_one_ulp_wide(self):
         # near 1e4 one ulp (1.8e-12) exceeds xtol = 1e-12
         fun, calls = counted(lambda x: (x - 10000.3) + 1e-13, 500)
-        root = bisect_root(fun, 9000.0, 11000.0, False)
+        lo, hi = _bisect(fun, 9000.0, 11000.0, False, 1e-12)
+        assert 0.5 * (lo + hi) == pytest.approx(10000.3, abs=4e-12)
+        assert calls[0] < 100
+
+
+def _with_slope(value, slope):
+    return lambda x: (value(x), slope(x) if callable(slope) else slope)
+
+
+class TestNewtonBracket:
+    def test_converges_in_fewer_steps_than_bisection(self):
+        fun, calls = counted(_with_slope(lambda x: math.exp(x) - 2.0, math.exp), 100)
+        root = _newton_bracket(fun, 0.0, 3.0, False, 1e-12)
+        assert root == pytest.approx(math.log(2.0), abs=1e-15)
+        bisected, bisect_calls = counted(lambda x: math.exp(x) - 2.0, 100)
+        _bisect(bisected, 0.0, 3.0, False, 1e-12)
+        assert calls[0] < bisect_calls[0] / 4
+
+    @pytest.mark.parametrize("slope", [0.0, math.inf, -math.inf, math.nan],
+                             ids=["fold", "inf", "-inf", "nan"])
+    def test_unusable_slope_bisects_to_xtol(self, slope):
+        # every step is a bisection: at most one evaluation more than
+        # _bisect (the end of its last step), and a root within xtol
+        fun, calls = counted(_with_slope(lambda x: 0.3 - x, slope), 100)
+        root = _newton_bracket(fun, 0.0, 1.0, True, 1e-12)
+        assert root == pytest.approx(0.3, abs=1e-12)
+        bisected, bisect_calls = counted(lambda x: 0.3 - x, 100)
+        _bisect(bisected, 0.0, 1.0, True, 1e-12)
+        assert calls[0] <= bisect_calls[0] + 1
+
+    @pytest.mark.parametrize("saturated", [-math.inf, math.nan], ids=["inf", "nan"])
+    def test_saturated_value_bisects_then_newton_resumes(self, saturated):
+        # the first point (0.5) saturates; a nan counts as non-positive, as
+        # in _bisect, so both move the upper end of the bracket
+        fun, calls = counted(_with_slope(lambda x: 0.3 - x if x < 0.5 else saturated, -1.0), 100)
+        assert _newton_bracket(fun, 0.0, 1.0, True, 1e-12) == pytest.approx(0.3, abs=1e-15)
+        assert 2 < calls[0] < 6
+
+    def test_root_within_an_ulp_of_the_bracket_end(self):
+        # every Newton step lands on lo = 1.4 - 1 ulp, the double nearest the
+        # root; rejecting steps onto the bracket ends bisects 25 times
+        fun, calls = counted(_with_slope(lambda x: -((x - 1.4) + 1.5e-16), -1.0), 100)
+        lo = 1.3999999999999997
+        assert _newton_bracket(fun, lo, 1.4000325600325598, True, 1e-12) == lo
+        assert calls[0] <= 3
+
+    def test_step_that_rounds_to_the_point_stops_there(self):
+        fun, calls = counted(_with_slope(lambda x: 0.3 - x, -1e300), 100)
+        assert _newton_bracket(fun, 0.0, 1.0, True, 0.0) == 0.5
+        assert calls[0] == 1
+
+    def test_stops_when_the_bracket_is_one_ulp_wide(self):
+        # xtol = 0 is never met; with a zero slope the bracket is halved
+        # down to adjacent doubles
+        fun, calls = counted(_with_slope(lambda x: (x - 10000.3) + 1e-13, 0.0), 500)
+        root = _newton_bracket(fun, 9000.0, 11000.0, False, 0.0)
         assert root == pytest.approx(10000.3, abs=4e-12)
         assert calls[0] < 100
 
+    def test_returns_the_evaluated_point_with_the_smallest_value(self):
+        # within 1e-10 of the root the values are noise: the end of the last
+        # (shorter than xtol) step reads -8e-15, worse than the 5e-15 before
+        def noisy(x):
+            return x - 0.3 if abs(x - 0.3) > 1e-10 else (5e-15 if x >= 0.3 else -8e-15)
+
+        fun, calls = counted(_with_slope(noisy, 1.0), 100)
+        assert _newton_bracket(fun, 0.0, 1.0, False, 1e-12) == 0.5 - 0.2
+        assert calls[0] == 3
 
 
 def test_saturated_plateaus_are_not_refined():

@@ -6,6 +6,7 @@ import pytest
 from satcycles import (
     CenterRegimeError,
     CountUnstableError,
+    InvariantViolatedError,
     Params,
     ZoneCoeffs,
     advance,
@@ -157,25 +158,40 @@ class TestFindAllCycles:
             assert rec.symmetric == (abs(half_Q(Params(a=-1, b=1, mu=1.2), rec.x0) - rec.x0) < 1e-9)
 
 
-    def test_each_cycle_is_integrated_once_after_polishing(self, monkeypatch):
-        # the record reuses the last trajectory of the Newton polish, so no
-        # x is integrated over a period twice from the polish on
-        polish, runs = poincare._polish, [[]]
+    def test_each_cycle_is_integrated_once_after_refinement(self, monkeypatch):
+        # a refined root that the Newton refinement evaluated keeps its
+        # trajectory for the record, so no x is integrated over a period twice
+        runs = []
 
         def counting(p, tau, x, t_end):
             if t_end == TWO_PI:
-                runs[-1].append(x)
+                runs.append(x)
             return advance(p, tau, x, t_end)
 
-        def marking(*args):
-            runs.append([])
-            return polish(*args)
-
         monkeypatch.setattr(poincare, "advance", counting)
-        monkeypatch.setattr(poincare, "_polish", marking)
         assert len(find_all_cycles(Params(a=-1, b=1, mu=1.2))) == 3
-        assert len(runs) == 4
-        assert all(xs and len(xs) == len(set(xs)) for xs in runs[1:])
+        assert runs and len(runs) == len(set(runs))
+        # Newton on the exact slope: two or three periods per cycle here (the
+        # root 1.4 sits one ulp inside its scan bracket); bisection took ~25
+        assert len(runs) <= 9
+
+    def test_root_with_a_huge_multiplier_is_confirmed(self):
+        # the one_inner multiplier 8.8e7 moves d by about 2.4e-9 from one
+        # double to the next, so no double brings |d| below 1e-9
+        p = Params(a=-2.5821594565750727, b=2.9116330230623007, mu=2.334657412326527)
+        found = find_all_cycles(p)
+        expected = analytic_one_zone_cycles(p)
+        assert [r.zonal_type for r in found] == ["one_lower", "one_inner", "one_upper"]
+        assert [r.zonal_type for r in expected] == [r.zonal_type for r in found]
+        assert [r.x0 for r in found] == pytest.approx([r.x0 for r in expected], abs=1e-12)
+        assert found[1].multiplier == pytest.approx(8.813e7, rel=1e-3)
+
+    def test_symmetric_root_outside_the_band_is_an_invariant_violation(self):
+        # the symmetric cycle of (-1, 1, 1.2) sits at x0 = -0.6
+        with pytest.raises(InvariantViolatedError):
+            poincare._symmetric_root(Params(a=-1, b=1, mu=1.2), 0.1)
+        assert poincare._symmetric_root(Params(a=-1, b=1, mu=1.2), 3.0) == pytest.approx(
+            -0.6, abs=1e-12)
 
 
 class TestSaturation:
