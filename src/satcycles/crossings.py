@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import BracketFailedError, NoConvergenceError, OrderViolatedError
 from .exactflow import INNER, LOWER, TWO_PI, UPPER, advance, linear_zone_flow, transitions, zone_coeffs
-from .gridscan import _bisect
+from .gridscan import _newton_bracket
 from .model import Params
-from .poincare import displacement_d
+from .poincare import ROOT_XTOL, _bias_derivative
 
 __all__ = [
     "CrossingSequence",
@@ -212,28 +212,27 @@ def extract_crossings(p: Params, x0: float):
 
 
 def lambda_of_x(p: Params, x: float) -> float:
-    """The unique bias lam with d(x; lam) = 0, by monotone bisection.
+    """The unique bias lam with d(x; lam) = 0, by Newton on the exact slope.
 
-    The displacement is strictly increasing in lam (the variational
-    derivative of the flow with respect to a constant bias is positive), so
-    d(0) and one probe at -bound or +bound bracket the root, which
-    bisection then narrows until |d| < 1e-10.  Local extrema of lam(x)
-    along a scan flag saddle-node candidates of the lam-family.
+    The displacement is strictly increasing in lam (its derivative, the
+    variational solution of y' = p(t)*y + 1 along the exact arcs, is
+    positive), so d(0) and one probe at -bound or +bound bracket the root,
+    which ``_newton_bracket`` refines on (d, dd/dlam).  Local extrema of
+    lam(x) along a scan flag saddle-node candidates of the lam-family.
     """
-    def disp(lam):
-        return displacement_d(replace(p, lam=lam), x)
+    def d_and_slope(lam):
+        biased = replace(p, lam=lam)
+        traj = advance(biased, 0.0, x, TWO_PI)
+        return traj.final_state - x, _bias_derivative(biased, traj)
 
-    d0 = disp(0.0)
+    d0 = d_and_slope(0.0)[0]
     if abs(d0) < 1e-10:
         return 0.0
     bound = 10.0 * (1.0 + abs(p.a) + abs(p.b) + abs(p.mu))
     far = -bound if d0 > 0.0 else bound
-    if (disp(far) > 0.0) == (d0 > 0.0):
+    if (d_and_slope(far)[0] > 0.0) == (d0 > 0.0):
         raise BracketFailedError(
             f"displacement does not change sign for |lam| <= {bound:.3g}"
         )
     # d < 0 at the smaller end of the bracket.
-    lo, hi = _bisect(disp, min(0.0, far), max(0.0, far), False, 0.0, ftol=1e-10)
-    if lo != hi:
-        raise BracketFailedError("bisection in lam stalled above the 1e-10 target")
-    return lo
+    return _newton_bracket(d_and_slope, min(0.0, far), max(0.0, far), False, ROOT_XTOL)

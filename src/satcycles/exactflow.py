@@ -2,12 +2,12 @@
 
 Inside one linearity zone the equation reduces to x' = p*x + q + mu*sin(t),
 whose solution is elementary.  Trajectories are assembled by chaining that
-closed form between zone-boundary contacts located by a uniform scan plus
-bisection; a contact switches zones only when the flow actually leaves the
-zone (tangential grazes are skipped).  ``advance_batch`` runs the same event
-loop for an array of initial values at once and hands every row that needs
-the rarer branches of ``advance`` (grazes, touches, two levels in one cell)
-to ``advance`` whole.
+closed form between zone-boundary contacts, located by a uniform scan and
+refined by Newton on the exact slope; a contact switches zones only when
+the flow actually leaves the zone (tangential grazes are skipped).
+``advance_batch`` runs the same event loop for an array of initial values
+at once and hands every row that needs the rarer branches of ``advance``
+(grazes, touches, two levels in one cell) to ``advance`` whole.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy import ndarray
 
 from .errors import ZoneSwitchLimitError
-from .gridscan import _bisect
+from .gridscan import _newton_bracket
 from .model import Params
 
 __all__ = [
@@ -50,6 +49,8 @@ UPPER = "upper"
 P_DEGENERATE = 1e-10
 # Scan resolution for contact detection, samples per forcing period per zone.
 SCAN_PER_PERIOD = 256
+# Contact and extremum times are refined until a Newton step or the bracket
+# is shorter than this.
 CROSSING_TIME_TOL = 1e-12
 # A located contact with |du/dt| below this is treated as a potential graze.
 GRAZE_DERIV_TOL = 1e-9
@@ -65,7 +66,7 @@ MAX_SWITCHES = 10_000
 # bound by REACH_ROUNDING times the size of those terms.  Evaluating the
 # closed form rounds by a few ulps of that size (about 1e-15 of it), so
 # the widening covers the rounding of both cell ends and of the extremum
-# value the bisection would compute by a factor of more than 10**4.
+# value the refinement would compute by a factor of more than 10**4.
 REACH_MAX_GROWTH = 30.0
 REACH_ROUNDING = 1e-10
 # advance_batch marches at least this many scan cells per row and step, and
@@ -207,33 +208,15 @@ def _within_reach(reach, u_l, u_r, levels):
     return not all(min(abs(u_l - lv), abs(u_r - lv)) > reach for lv in levels)
 
 
-def _bisect_contact(z, mu, tau, x, level, lo, hi, g_lo_pos):
-    """Refine a bracketed level crossing to CROSSING_TIME_TOL, then polish."""
-    flow = partial(linear_zone_flow, z, mu, tau, x)
-    lo, hi = _bisect(flow, lo, hi, g_lo_pos, CROSSING_TIME_TOL, level=level)
-    root = 0.5 * (lo + hi)
-    # Newton polish toward machine precision; stay inside the bracket.
-    for _ in range(3):
-        g = flow(root) - level
-        if g == 0.0:
-            break
-        dg = z.p * (g + level) + z.q + mu * math.sin(root)
-        if dg == 0.0:
-            break
-        nxt = root - g / dg
-        if not lo <= nxt <= hi:
-            break
-        root = nxt
-    return root
-
-
 def _next_contact(z, mu, tau, x, levels, t_max):
     """Earliest time in (tau, t_max] where the in-zone flow meets any level.
 
     Returns (time, level) or None.  Both transversal crossings and
-    tangential touches (flow extremum landing on a level) are contacts.  A
+    tangential touches (flow extremum landing on a level) are contacts.
+    Crossing times are refined on (u - level, u') and extremum times on
+    (u', u''), with u' = p*u + q + mu*sin(t) and u'' = p*u' + mu*cos(t).  A
     cell whose extremum ``_reach`` puts out of reach of every level is not
-    bisected: it can hold no contact.
+    refined: it can hold no contact.
     """
     if not t_max > tau:
         return None
@@ -260,8 +243,15 @@ def _next_contact(z, mu, tau, x, levels, t_max):
         us = linear_zone_flow(z, mu, tau, x, ts)
         dus = p * us + q + mu * np.sin(ts)
 
-    def deriv(s):
-        return p * linear_zone_flow(z, mu, tau, x, s) + q + mu * math.sin(s)
+    def contact(lv, lo, hi, lo_pos):
+        def gap(s):
+            u = linear_zone_flow(z, mu, tau, x, s)
+            return u - lv, p * u + q + mu * math.sin(s)
+        return _newton_bracket(gap, lo, hi, lo_pos, CROSSING_TIME_TOL)
+
+    def slopes(s):
+        du = p * linear_zone_flow(z, mu, tau, x, s) + q + mu * math.sin(s)
+        return du, p * du + mu * math.cos(s)
 
     t_l, u_l = t_ref, u_ref
     du_l = p * u_l + q + mu * math.sin(t_l)
@@ -274,24 +264,21 @@ def _next_contact(z, mu, tau, x, levels, t_max):
         # the value test below cannot see).
         if (du_l > 0.0) != (du_r > 0.0) and _within_reach(
                 _reach(p, q, mu, x, t_max - tau, t_r - t_l), u_l, u_r, levels):
-            lo, hi = _bisect(deriv, t_l, t_r, du_l > 0.0, CROSSING_TIME_TOL)
-            t_ext = 0.5 * (lo + hi)
+            t_ext = _newton_bracket(slopes, t_l, t_r, du_l > 0.0, CROSSING_TIME_TOL)
             u_ext = linear_zone_flow(z, mu, tau, x, t_ext)
             for lv in levels:
                 g_l, g_r, g_ext = u_l - lv, u_r - lv, u_ext - lv
                 if abs(g_ext) <= TOUCH_VALUE_TOL:
                     candidates.append((t_ext, lv))
                 elif g_r != 0.0 and (g_r > 0.0) == (g_l > 0.0) != (g_ext > 0.0):
-                    root = _bisect_contact(z, mu, tau, x, lv, t_l, t_ext, g_l > 0.0)
-                    candidates.append((root, lv))
+                    candidates.append((contact(lv, t_l, t_ext, g_l > 0.0), lv))
         # Transversal crossing: value changes side.
         for lv in levels:
             g_l, g_r = u_l - lv, u_r - lv
             if g_r == 0.0:
                 candidates.append((t_r, lv))
             elif (g_l > 0.0) != (g_r > 0.0):
-                root = _bisect_contact(z, mu, tau, x, lv, t_l, t_r, g_l > 0.0)
-                candidates.append((root, lv))
+                candidates.append((contact(lv, t_l, t_r, g_l > 0.0), lv))
         if candidates:
             return min(candidates)
         t_l, u_l, du_l = t_r, u_r, du_r
@@ -391,34 +378,31 @@ def _flow_by_zone(zcs, mu, zone, tau, x, t):
 
 
 def _contact_times(zcs, p, q, mu, zone, tau, x, level, lo, hi, lo_pos):
-    """``_bisect_contact`` on every row at once: bisect each bracket to
-    CROSSING_TIME_TOL, then up to three Newton steps inside it."""
-    def g(t):
-        return _flow_by_zone(zcs, mu, zone, tau, x, t) - level
-
-    while True:
-        mid = 0.5 * (lo + hi)
-        go = (hi - lo > CROSSING_TIME_TOL) & (lo < mid) & (mid < hi)
-        if not go.any():
-            break
-        fm = g(mid)
-        zero = fm == 0.0
-        up = (fm > 0.0) == lo_pos
-        lo = np.where(go & (zero | up), mid, lo)
-        hi = np.where(go & (zero | ~up), mid, hi)
-    root = 0.5 * (lo + hi)
-    # A non-finite residual ends the scalar polish too (its step is nan).
-    polish = np.ones(root.size, dtype=bool)
-    for _ in range(3):
-        gr = g(root)
-        polish &= (gr != 0.0) & np.isfinite(gr)
+    """``_newton_bracket`` on (u - level, u') for every row at once, with the
+    same steps and stop tests per row; a row that has stopped keeps its
+    state."""
+    t = 0.5 * (lo + hi)
+    last = before = hi - lo
+    best, best_g = t, np.full(t.size, math.inf)
+    go = np.ones(t.size, dtype=bool)
+    while go.any():
+        u = _flow_by_zone(zcs, mu, zone, tau, x, t)
         with _saturating():
-            dg = p * (gr + level) + q + mu * np.sin(root)
-        polish &= dg != 0.0
-        nxt = root - gr / np.where(polish, dg, 1.0)
-        polish &= (lo <= nxt) & (nxt <= hi)
-        root = np.where(polish, nxt, root)
-    return root
+            g, slope = u - level, p * u + q + mu * np.sin(t)
+            usable = (slope != 0.0) & (np.abs(slope) < math.inf)
+            step = np.where(usable, g / np.where(usable, slope, 1.0), math.inf)
+        better = go & (np.abs(g) < best_g)
+        best, best_g = np.where(better, t, best), np.where(better, np.abs(g), best_g)
+        up = (g > 0.0) == lo_pos
+        lo, hi = np.where(go & up, t, lo), np.where(go & ~up, t, hi)
+        mid = 0.5 * (lo + hi)
+        nxt = t - step
+        go &= ((g != 0.0) & (last >= CROSSING_TIME_TOL) & (hi - lo > CROSSING_TIME_TOL)
+               & (lo < mid) & (mid < hi) & (nxt != t))
+        nxt = np.where((lo <= nxt) & (nxt <= hi) & (2.0 * np.abs(step) <= before), nxt, mid)
+        before, last = np.where(go, last, before), np.where(go, np.abs(nxt - t), last)
+        t = np.where(go, nxt, t)
+    return best
 
 
 def _contacts_batch(zcs, mu, zone, tau, x, t_end):
@@ -511,14 +495,15 @@ def advance_batch(p: Params, xs: ndarray, t_end: float) -> ndarray:
 
     Every row marches its own scan grid (the one ``_next_contact`` uses),
     a block of cells per step (BATCH_COLUMNS, wider as rows drop out), in
-    lockstep with the others, and stops at its first candidate cell.  When no row marches any more, each stopped
-    row whose cell holds a value crossing of exactly one level gets one
-    vectorized bisection and Newton polish, then switches zones; then the
-    next contact search begins.  A row that needs a branch only ``advance``
-    has is handed whole to ``advance``: a start on a level whose probe lands
-    on a level, an extremum within reach of a level, a scan point exactly on
-    a level, two levels in one cell, a contact with |x'| < GRAZE_DERIV_TOL,
-    or more than MAX_SWITCHES contacts.  The results agree with ``advance``
+    lockstep with the others, and stops at its first candidate cell.  When
+    no row marches any more, each stopped row whose cell holds a value
+    crossing of exactly one level has its contact time refined as
+    ``_next_contact`` refines it, all rows at once, then switches zones;
+    then the next contact search begins.  A row that needs a branch only
+    ``advance`` has is handed whole to ``advance``: a start on a level whose
+    probe lands on a level, an extremum within reach of a level, a scan
+    point exactly on a level, two levels in one cell, a contact with
+    |x'| < GRAZE_DERIV_TOL, or more than MAX_SWITCHES contacts.  The results agree with ``advance``
     to rounding: numpy's sin and cos may differ from math's in the last bit.
     """
     if t_end < 0.0:

@@ -4,10 +4,11 @@ Shared by the cycle finder and the Melnikov zero counter.  A uniform base
 grid is refined around local minima of |f| (where close root pairs hide)
 and around existing sign changes until two consecutive refinement levels
 agree on the root count; persistent disagreement is reported, never
-silently resolved.  Private refiners of one bracket, unseen by wrappers of
-the public names (perfbench's tracer): ``_bisect`` for contact times and
-lambda_of_x (``exactflow._contact_times`` bisects rows in its own loop),
-and ``_newton_bracket`` on an exact slope for cycle roots and phi.
+silently resolved.  ``_newton_bracket`` refines one bracket on an exact
+slope; it is private, so wrappers of the public names (perfbench's tracer)
+do not see it, and it is the package's one refiner: cycle roots, the
+symmetric root, phi, lambda_of_x, and contact and extremum times (which
+``exactflow._contact_times`` repeats row-wise for the batched map).
 """
 
 from __future__ import annotations
@@ -24,24 +25,6 @@ __all__ = ["scan_roots"]
 # unstable, and points inserted into each suspicious cell per level.
 MAX_REFINE = 5
 REFINE_INSERT = 8
-
-
-def _bisect(fun, lo, hi, lo_pos, xtol, ftol=0.0, level=0.0):
-    """Halve [lo, hi] around a crossing of ``fun`` through ``level`` (above
-    it at lo iff ``lo_pos``) until the bracket is at most ``xtol`` wide or
-    one ulp wide; return it, collapsed onto any midpoint within ``ftol``."""
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fm = fun(mid) - level
-        if fm == 0.0 or abs(fm) < ftol:
-            return mid, mid
-        if (fm > 0.0) == lo_pos:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def _newton_bracket(fun, lo, hi, lo_pos, xtol):

@@ -11,7 +11,7 @@ the symmetric cycle, which the finder always locates first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from numpy import ndarray
@@ -22,6 +22,7 @@ from .exactflow import (
     LOWER,
     TWO_PI,
     UPPER,
+    EXP_SATURATION,
     P_DEGENERATE,
     _exp,
     advance,
@@ -95,6 +96,22 @@ def displacement_d(p: Params, x):
 
 def _multiplier_from_measure(p: Params, a_in_measure: float) -> float:
     return _exp(TWO_PI * p.a_eff + (p.b_eff - p.a_eff) * a_in_measure)
+
+
+def _bias_derivative(p: Params, traj) -> float:
+    """Derivative of the trajectory's final state in lam: y' = p(t)*y + 1
+    from y = 0, solved exactly on each segment.  The field is continuous, so
+    y does not jump at a contact."""
+    y = 0.0
+    for seg in traj.segments:
+        slope = zone_coeffs(p, seg.zone).p
+        dt = seg.t_end - seg.t_start
+        if abs(slope) < P_DEGENERATE:
+            y += dt
+        else:
+            z = slope * dt
+            y = _exp(z) * y + (math.expm1(z) if z < EXP_SATURATION else math.inf) / slope
+    return y
 
 
 def dP(p: Params, x: float) -> float:
@@ -193,15 +210,20 @@ def _symmetric_root(p: Params, bound: float) -> float:
     return _newton_bracket(fq, -bound, bound, True, ROOT_XTOL)
 
 
-def _record(p: Params, x0: float, traj) -> CycleRecord:
+def _record(p: Params, x0: float, traj, symmetric: bool) -> CycleRecord:
     """Classify a refined root, confirmed by |d| < 1e-9 or by a Newton step of
-    at most one ulp (a multiplier so large that no double brings |d| there)."""
+    at most one ulp (a multiplier so large that no double brings |d| there).
+    A root within DEDUP_TOL of a one-zonal cycle whose multiplier is beyond
+    the doubles, where the computed d means nothing, is that closed-form
+    cycle."""
     d = traj.final_state - x0
     mult = _multiplier_from_measure(p, traj.a_in_measure)
     if not (abs(d) < 1e-9 or abs(d) <= abs(mult - 1.0) * math.ulp(x0) < math.inf):
+        for rec in analytic_one_zone_cycles(p):
+            if rec.multiplier == math.inf and abs(rec.x0 - x0) < DEDUP_TOL:
+                return replace(rec, symmetric=symmetric)
         raise CountUnstableError(
             f"refined root x0={x0!r} fails the displacement check (|d|={abs(d):.3e})")
-    symmetric = p.lam == 0.0 and abs(half_Q(p, x0) - x0) < 1e-9
     return CycleRecord(
         x0=x0,
         zonal_type=_zonal_type(traj),
@@ -218,7 +240,8 @@ def find_all_cycles(p: Params, *, grid: int = 4096) -> list[CycleRecord]:
     unique fixed point); remaining zeros of the displacement are bracketed
     on an adaptive grid (each level evaluated as one batch), refined by
     ``gridscan._newton_bracket`` on the exact slope dP - 1, and classified
-    by the exact multiplier.  Raises CenterRegimeError in (analytically
+    by the exact multiplier; the cycle whose roots include the symmetric one
+    is flagged symmetric.  Raises CenterRegimeError in (analytically
     known) center regimes and CountUnstableError when adjacent grid
     refinements disagree on the root count or a root fails its check.
     """
@@ -236,11 +259,15 @@ def find_all_cycles(p: Params, *, grid: int = 4096) -> list[CycleRecord]:
         traj = trajs[x] = advance(p, 0.0, x, TWO_PI)
         return traj.final_state - x, _multiplier_from_measure(p, traj.a_in_measure) - 1.0
 
-    roots = [_symmetric_root(p, bound)] if p.lam == 0.0 else []
+    x_s = _symmetric_root(p, bound) if p.lam == 0.0 else None
+    roots = [] if x_s is None else [x_s]
     exact, brackets = scan_roots(partial(displacement_d, p), -bound, bound, grid)
     roots += exact + [_newton_bracket(d_and_slope, *b, ROOT_XTOL) for b in brackets]
-    records = []
+    groups = []  # the roots of each cycle; the first one is its x0
     for r in sorted(roots):
-        if not records or abs(r - records[-1].x0) >= DEDUP_TOL:
-            records.append(_record(p, r, trajs[r] if r in trajs else advance(p, 0.0, r, TWO_PI)))
-    return records
+        if groups and abs(r - groups[-1][0]) < DEDUP_TOL:
+            groups[-1].append(r)
+        else:
+            groups.append([r])
+    return [_record(p, g[0], trajs[g[0]] if g[0] in trajs else advance(p, 0.0, g[0], TWO_PI),
+                    x_s in g) for g in groups]

@@ -22,7 +22,7 @@ from satcycles import (
     residual_direct,
 )
 from satcycles.cli import main
-from satcycles.gridscan import _bisect, scan_roots
+from satcycles.gridscan import _newton_bracket, scan_roots
 import oracles
 from oracles import read_csv
 
@@ -68,7 +68,9 @@ def _melnikov_predicted_initials(mu):
     fun = lambda x: M_shift(x, mu, p)
     exact, brackets = scan_roots(
         lambda xs: np.array([fun(x) for x in xs.tolist()]), -3.0, 3.0, 4096)
-    zeros = sorted(exact + [0.5 * sum(_bisect(fun, lo, hi, pos, 1e-12)) for lo, hi, pos in brackets])
+    refined = [_newton_bracket(lambda x: (fun(x), Mx(x, mu, p)), lo, hi, pos, 1e-12)
+               for lo, hi, pos in brackets]
+    zeros = sorted(exact + refined)
     return [z - mu for z in zeros]
 
 

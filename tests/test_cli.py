@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from satcycles import cli
+from satcycles import Params, analytic_one_zone_cycles, cli
 from satcycles.cli import main, write_csv
 
 from oracles import read_csv
@@ -71,11 +71,19 @@ class TestCycles:
         assert counts == [3, 3, 3]
 
 
-    def test_saturated_flow_exits_3_with_one_error_line(self, capsys):
-        # the one_lower cycle's multiplier exp(2*pi*200) leaves the doubles
-        code, _, err = run(capsys, ["cycles", "--a", "200", "--b", "-1", "--mu", "1"])
-        assert code == 3
-        assert err.startswith("error: ") and err.count("\n") == 1
+    def test_saturated_multipliers_give_the_closed_form_cycles(self, capsys):
+        # the outer cycles' multiplier exp(2*pi*200) leaves the doubles, so
+        # their computed d reads nothing; the closed form stands in for them
+        code, out, err = run(capsys, ["cycles", "--a", "200", "--b", "-1", "--mu", "1"])
+        assert code == 0 and err == ""
+        rows = [line.split() for line in out.splitlines()[2:]]
+        expected = analytic_one_zone_cycles(Params(a=200, b=-1, mu=1))
+        assert [row[1:] for row in rows[::2]] == [["one_lower", "inf", "repelling", "false"],
+                                                 ["one_upper", "inf", "repelling", "false"]]
+        assert [float(row[0]) for row in rows[::2]] == [expected[0].x0, expected[2].x0]
+        assert [rows[1][1], *rows[1][3:]] == ["one_inner", "attracting", "true"]
+        assert float(rows[1][0]) == pytest.approx(expected[1].x0, abs=1e-12)
+        assert float(rows[1][2]) == pytest.approx(expected[1].multiplier, rel=1e-12)
 
 
 class TestScan:

@@ -159,21 +159,22 @@ class TestLambdaOfX:
             biased = dataclasses.replace(p, lam=lam)
             assert abs(displacement_d(biased, x)) < 1e-10
 
-    def test_bisects_the_whole_bracket_directly(self, monkeypatch):
-        # d(0), one probe at the bound, then about 39 halvings of [0, bound]
+    def test_newton_on_the_exact_bias_slope(self, monkeypatch):
+        # d(0), one probe at the bound, then Newton on (d, dd/dlam) in
+        # [0, bound]; plain bisection took about 39 halvings to 1e-10
         calls = []
 
-        def counting(p, x):
+        def counting(p, tau, x, t_end):
             calls.append(p.lam)
-            return displacement_d(p, x)
+            return advance(p, tau, x, t_end)
 
-        monkeypatch.setattr(crossings, "displacement_d", counting)
+        monkeypatch.setattr(crossings, "advance", counting)
         p = Params(a=-0.05, b=0.05, mu=1.5)
         for x in (-3.0, -2.2, -1.5, -0.6, 0.0):
             calls.clear()
             lam = lambda_of_x(p, x)
-            assert len(calls) <= 45
-            assert abs(displacement_d(dataclasses.replace(p, lam=lam), x)) < 1e-10
+            assert len(calls) <= 16
+            assert abs(displacement_d(dataclasses.replace(p, lam=lam), x)) < 1e-13
 
     def test_continuity_on_a_scan_grid(self):
         p = Params(a=-1, b=1, mu=1.3)

@@ -20,6 +20,7 @@ from satcycles import (
 )
 from satcycles import exactflow
 from satcycles.exactflow import _next_contact
+from satcycles.gridscan import _newton_bracket
 
 from oracles import rk4_oracle
 
@@ -201,7 +202,7 @@ class TestContactSearchEdges:
         assert t_down - t_up == pytest.approx(2.0 * math.acos(1.0 - 1e-6), abs=1e-9)
 
     def test_far_start_time_terminates(self):
-        # at |t| >= 8192 one ulp of time exceeds the 1e-12 bisection width
+        # at |t| >= 8192 one ulp of time exceeds CROSSING_TIME_TOL = 1e-12
         p = Params(a=-1, b=1, mu=1.2)
         far = advance(p, 9000.0, 0.3, 9000.0 + TWO_PI)
         tau = 9000.0 - 1432 * TWO_PI
@@ -278,9 +279,40 @@ class TestAdvanceBatch:
         _assert_batch_matches_scalar(p, np.linspace(-3, 1, 10))
 
 
+class TestContactTimes:
+    def test_saturated_rows_refine_as_the_scalar_rule(self):
+        # a = 200: the outer flows leave the doubles 3.5 into the search, so
+        # the first point of the [0, 8] brackets reads +inf or -inf with an
+        # infinite slope (a bisection step); a nan state reads inf at every
+        # point and keeps the midpoint.  Each row ends where _newton_bracket
+        # on (u - level, u') ends on its own.
+        p = Params(a=200, b=-1, mu=1)
+        zcs = [zone_coeffs(p, z) for z in exactflow._ZONES]
+        lower, _, upper = (r.x0 for r in analytic_one_zone_cycles(p))
+        rows = [(0, lower + 1e-3, -1.0, 0.0, 0.5), (0, lower + 1e-6, -1.0, 0.0, 8.0),
+                (2, upper - 1e-6, 1.0, 0.0, 8.0), (2, math.nan, 1.0, 0.0, 8.0)]
+        zone, x, level, lo, hi = (np.array(col) for col in zip(*rows))
+        assert [linear_zone_flow(zcs[c], 1.0, 0.0, x0, 4.0) for c, x0, *_ in rows[1:]] == [
+            math.inf, -math.inf, math.inf]
+        got = exactflow._contact_times(
+            zcs, np.array([zcs[c].p for c in zone]), np.array([zcs[c].q for c in zone]), 1.0,
+            zone, np.zeros(len(rows)), x, level, lo, hi, x > level)
+        for (c, x0, lv, t_lo, t_hi), t in zip(rows, got.tolist()):
+            def gap(s):
+                u = linear_zone_flow(zcs[c], 1.0, 0.0, x0, s)
+                return u - lv, zcs[c].p * u + zcs[c].q + math.sin(s)
+
+            assert t == pytest.approx(
+                _newton_bracket(gap, t_lo, t_hi, x0 > lv, exactflow.CROSSING_TIME_TOL), abs=1e-12)
+            if math.isnan(x0):
+                assert t == 4.0
+            else:
+                assert abs(gap(t)[0]) < 1e-12
+
+
 class TestReachTest:
     """The reach test only skips extremum cells that hold no contact: with
-    it switched off (every extremum bisected), advance is bitwise the same."""
+    it switched off (every extremum refined), advance is bitwise the same."""
 
     @staticmethod
     def _cases():

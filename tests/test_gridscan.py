@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from satcycles.gridscan import _bisect, _newton_bracket, scan_roots
+from satcycles.gridscan import _newton_bracket, scan_roots
 
 
 class _EvalLimit(Exception):
@@ -22,13 +22,10 @@ def counted(fun, limit):
     return wrapper, calls
 
 
-class TestBisect:
-    def test_stops_when_the_bracket_is_one_ulp_wide(self):
-        # near 1e4 one ulp (1.8e-12) exceeds xtol = 1e-12
-        fun, calls = counted(lambda x: (x - 10000.3) + 1e-13, 500)
-        lo, hi = _bisect(fun, 9000.0, 11000.0, False, 1e-12)
-        assert 0.5 * (lo + hi) == pytest.approx(10000.3, abs=4e-12)
-        assert calls[0] < 100
+def halvings(width, xtol):
+    """Evaluations plain bisection makes to shrink a bracket ``width`` wide
+    to at most ``xtol``."""
+    return math.ceil(math.log2(width / xtol))
 
 
 def _with_slope(value, slope):
@@ -40,26 +37,22 @@ class TestNewtonBracket:
         fun, calls = counted(_with_slope(lambda x: math.exp(x) - 2.0, math.exp), 100)
         root = _newton_bracket(fun, 0.0, 3.0, False, 1e-12)
         assert root == pytest.approx(math.log(2.0), abs=1e-15)
-        bisected, bisect_calls = counted(lambda x: math.exp(x) - 2.0, 100)
-        _bisect(bisected, 0.0, 3.0, False, 1e-12)
-        assert calls[0] < bisect_calls[0] / 4
+        assert calls[0] < halvings(3.0, 1e-12) / 4
 
     @pytest.mark.parametrize("slope", [0.0, math.inf, -math.inf, math.nan],
                              ids=["fold", "inf", "-inf", "nan"])
     def test_unusable_slope_bisects_to_xtol(self, slope):
-        # every step is a bisection: at most one evaluation more than
-        # _bisect (the end of its last step), and a root within xtol
+        # every step is a bisection: at most one evaluation more than plain
+        # bisection (the end of its last step), and a root within xtol
         fun, calls = counted(_with_slope(lambda x: 0.3 - x, slope), 100)
         root = _newton_bracket(fun, 0.0, 1.0, True, 1e-12)
         assert root == pytest.approx(0.3, abs=1e-12)
-        bisected, bisect_calls = counted(lambda x: 0.3 - x, 100)
-        _bisect(bisected, 0.0, 1.0, True, 1e-12)
-        assert calls[0] <= bisect_calls[0] + 1
+        assert calls[0] <= halvings(1.0, 1e-12) + 1
 
     @pytest.mark.parametrize("saturated", [-math.inf, math.nan], ids=["inf", "nan"])
     def test_saturated_value_bisects_then_newton_resumes(self, saturated):
-        # the first point (0.5) saturates; a nan counts as non-positive, as
-        # in _bisect, so both move the upper end of the bracket
+        # the first point (0.5) saturates; a nan counts as non-positive, so
+        # both move the upper end of the bracket
         fun, calls = counted(_with_slope(lambda x: 0.3 - x if x < 0.5 else saturated, -1.0), 100)
         assert _newton_bracket(fun, 0.0, 1.0, True, 1e-12) == pytest.approx(0.3, abs=1e-15)
         assert 2 < calls[0] < 6

@@ -40,3 +40,27 @@ def test_every_name_the_benchmark_reads_resolves():
         obj = satcycles
         for part in dotted.split("."):
             obj = getattr(obj, part)
+
+
+def test_every_top_level_definition_is_named_in_the_package():
+    # a helper that only tests use does not ship: each top-level function or
+    # class is referenced, or listed in an __all__, in src/ outside its own
+    # definition
+    defined, named = [], set()
+    for path in sorted((ROOT / "src" / "satcycles").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined.append((path.stem, own))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    name = sub.value
+                else:
+                    continue
+                if name != own:
+                    named.add(name)
+    assert [f"{module}.{name}" for module, name in defined if name not in named] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +75,23 @@ class TestDerivative:
         for x in rng.uniform(-3, 3, 20):
             fd = (poincare_P(p, x + h) - poincare_P(p, x - h)) / (2 * h)
             assert dP(p, x) == pytest.approx(fd, rel=1e-4)
+
+    @pytest.mark.parametrize("a, b, mu, lam, x, zonal_type", [
+        (-1, 1, 1.2, 0.1, -2.6, "one_lower"),
+        (1, -0.5, 0.3, 0.05, 0.0, "one_inner"),
+        (-1, 1, 1.2, 0.1, 0.5, "two_zonal"),
+        (2, -1, 1.5, 0.3, -0.2, "two_zonal"),
+        (-1, 1, 2.5, 0.1, 0.0, "three_zonal"),
+        (-1, 0, 1.5, 0.1, 0.2, "three_zonal"),  # degenerate inner slope
+    ])
+    def test_bias_derivative_matches_central_differences(self, a, b, mu, lam, x, zonal_type):
+        p = Params(a=a, b=b, mu=mu, lam=lam)
+        traj = advance(p, 0.0, x, TWO_PI)
+        assert poincare._zonal_type(traj) == zonal_type
+        h = 1e-6
+        fd = (poincare_P(dataclasses.replace(p, lam=lam + h), x)
+              - poincare_P(dataclasses.replace(p, lam=lam - h), x)) / (2 * h)
+        assert poincare._bias_derivative(p, traj) == pytest.approx(fd, rel=1e-8)
 
 
 class TestRegime:
