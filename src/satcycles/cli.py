@@ -46,7 +46,6 @@ _DEFAULTS = {
     "lam": 0.0,
     "out": None,
     "tol_residual": 1e-10,
-    "grid": 4096,
 }
 
 
@@ -116,7 +115,7 @@ def _cycles_rows(records):
 
 def cmd_cycles(args) -> int:
     p = _params(args)
-    records = find_all_cycles(p, grid=args.grid)
+    records = find_all_cycles(p)
     header = ["x0", "zonal_type", "multiplier", "stability", "symmetric"]
     rows = _cycles_rows(records)
     print(f"{len(records)} limit cycle(s) for a={fmt(p.a)} b={fmt(p.b)} "
@@ -140,16 +139,15 @@ def _meta(command, p, args, **extra):
         "eps": fmt(p.eps),
         "lambda": fmt(p.lam),
         "tol_residual": fmt(args.tol_residual),
-        "grid": str(args.grid),
     }
     meta.update({k: str(v) for k, v in extra.items()})
     return meta
 
 
 def _scan_cell(task):
-    a, b, mu, eps, lam, grid = task
+    a, b, mu, eps, lam = task
     p = Params(a=a, b=b, mu=mu, eps=eps, lam=lam)
-    records = find_all_cycles(p, grid=grid)
+    records = find_all_cycles(p)
     return ScanRow(
         mu=mu,
         eps=eps,
@@ -169,7 +167,7 @@ def cmd_scan(args) -> int:
         raise UsageError(f"--eps-list {args.eps_list!r} is not a list of finite numbers") from None
     mus = np.linspace(args.mu_min, args.mu_max, args.n)
     tasks = [
-        (p.a, p.b, float(mu), eps, p.lam, args.grid)
+        (p.a, p.b, float(mu), eps, p.lam)
         for eps in sorted(eps_list)
         for mu in mus
     ]
@@ -264,7 +262,7 @@ def cmd_orbit3d(args) -> int:
 
 def cmd_crossings(args) -> int:
     p = _params(args)
-    records = find_all_cycles(p, grid=args.grid)
+    records = find_all_cycles(p)
     three_zonal = [r for r in records if r.zonal_type == "three_zonal"]
     if not three_zonal:
         print("no three-zonal cycles")
@@ -298,7 +296,7 @@ def _load_config(path):
             key = "lam" if key == "lambda" else key
             if key not in _DEFAULTS:
                 raise UsageError(f"unknown key {key!r} in config file {path}")
-            cast = int if key == "grid" else (str if key == "out" else float)
+            cast = str if key == "out" else float
             try:
                 values[key] = cast(raw.strip())
             except ValueError:
@@ -313,7 +311,7 @@ def _finalize_args(args):
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, config.get(key, default))
-    for key in ("grid", "n", "samples"):
+    for key in ("n", "samples"):
         if getattr(args, key, 2) < 2:
             raise UsageError(f"--{key} must be >= 2")
     for key in ("x", "x0", "mu_min", "mu_max"):
@@ -332,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output CSV path")
     common.add_argument("--tol-residual", dest="tol_residual", type=float,
                         help="residual tolerance for reports (default 1e-10)")
-    common.add_argument("--grid", type=int, help="scan grid size (default 4096)")
     common.add_argument("--config", help="key=value config file for any flag")
 
     parser = argparse.ArgumentParser(

@@ -24,7 +24,8 @@ class CenterRegimeError(SatcyclesError):
 
 
 class CountUnstableError(SatcyclesError):
-    """Two adjacent grid refinements disagree on the number of roots."""
+    """A root count cannot be certified: a cell of the root scan stays
+    undecided down to adjacent doubles, or a refined root fails its check."""
 
 
 class NoConvergenceError(SatcyclesError):

@@ -1,30 +1,33 @@
-"""Sign-change bracketing on adaptively refined grids.
+"""Root isolation on a slope bound, and bracketed Newton refinement.
 
-Shared by the cycle finder and the Melnikov zero counter.  A uniform base
-grid is refined around local minima of |f| (where close root pairs hide)
-and around existing sign changes until two consecutive refinement levels
-agree on the root count; persistent disagreement is reported, never
-silently resolved.  ``_newton_bracket`` refines one bracket on an exact
-slope; it is private, so wrappers of the public names (perfbench's tracer)
-do not see it, and it is the package's one refiner: cycle roots, the
-symmetric root, phi, lambda_of_x, and contact and extremum times (which
-``exactflow._contact_times`` repeats row-wise for the batched map).
+Shared by the cycle finder and the Melnikov zero counter.  ``scan_roots``
+brackets every sign change of a scalar function from a bound on its slope:
+a cell whose ends have the same sign is dropped only when the bound keeps
+the function away from zero across it, so a cell is never dropped for
+looking smooth at some sampling density.  Cells the bound cannot clear are
+bisected; one that stays undecided is reported, never silently resolved.
+``_newton_bracket`` refines one bracket on an exact slope; it is private,
+so wrappers of the public names (perfbench's tracer) do not see it, and it
+is the package's one refiner: cycle roots, the symmetric root, phi,
+lambda_of_x, and contact and extremum times.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import CountUnstableError
 
 __all__ = ["scan_roots"]
 
-# Refinement levels after the base grid before the count is declared
-# unstable, and points inserted into each suspicious cell per level.
-MAX_REFINE = 5
-REFINE_INSERT = 8
+# Equal cells [lo, hi] starts from.
+START_CELLS = 64
+# A cell near a root is bisected down to (hi - lo) / RESOLUTION_CELLS, the
+# distance at which two roots are told apart.
+RESOLUTION_CELLS = 4095
+# |f| at or below this may be rounding: a cell is dropped by its slope bound
+# only when the bound keeps |f| above it.
+SCAN_MARGIN = 1e-9
 
 
 def _newton_bracket(fun, lo, hi, lo_pos, xtol):
@@ -35,105 +38,107 @@ def _newton_bracket(fun, lo, hi, lo_pos, xtol):
     (as rtsafe does), and bisects otherwise.  It stops at an exact zero, at a
     step that rounds to the current point, after evaluating the end of a step
     shorter than ``xtol``, or at a bracket ``xtol`` or one ulp wide, and
-    returns the evaluated point with the smallest |value|."""
+    returns the end of the final bracket with the smaller |value| among the
+    ends it evaluated."""
     x, last, before = 0.5 * (lo + hi), hi - lo, hi - lo
-    best, best_f = x, math.inf
+    f_lo = f_hi = math.inf  # |value| at each end; inf until evaluated
     while True:
         f, slope = fun(x)
-        if abs(f) < best_f:
-            best, best_f = x, abs(f)
         if (f > 0.0) == lo_pos:
-            lo = x
+            lo, f_lo = x, abs(f)
         else:
-            hi = x
+            hi, f_hi = x, abs(f)
         mid = 0.5 * (lo + hi)
         if f == 0.0 or last < xtol or hi - lo <= xtol or not lo < mid < hi:
-            return best
+            break
         step = f / slope if 0.0 != abs(slope) < math.inf else math.inf
         nxt = x - step
         if nxt == x:
-            return best
+            break
         if not (lo <= nxt <= hi and 2.0 * abs(step) <= before):
             nxt = mid
         before, last = last, abs(nxt - x)
         x = nxt
+    return lo if f_lo < f_hi else hi
 
 
-def _sign_changes(xs, fs):
-    """Exact zeros and (x_lo, x_hi, f_lo_positive) sign-change brackets of a
-    sampled function; zero samples are skipped when pairing neighbours."""
-    exact = [x for x, f in zip(xs, fs) if f == 0.0]
-    brackets = []
-    prev_i = None
-    for i, f in enumerate(fs):
-        if f == 0.0:
-            continue
-        if prev_i is not None and (f > 0.0) != (fs[prev_i] > 0.0):
-            brackets.append((xs[prev_i], xs[i], fs[prev_i] > 0.0))
-        prev_i = i
-    return exact, brackets
+def _least_envelope(f_l, f_r, h, s_lo, s_hi):
+    """Least value on a cell of width ``h`` of the lower envelope
+    max(f_l + s_lo*(x - x_l), f_r - s_hi*(x_r - x)) of a function with
+    slope in [s_lo, s_hi] and values f_l, f_r > 0 at the ends.  An infinite
+    bound leaves the one-sided form of the other."""
+    if s_hi == math.inf:
+        return -math.inf if s_lo == -math.inf else f_l + min(s_lo, 0.0) * h
+    if s_lo == -math.inf:
+        return f_r - max(s_hi, 0.0) * h
+    # The envelope is convex: its least value is at an end or where the
+    # two lines cross.
+    least = min(max(f_l, f_r - s_hi * h), max(f_l + s_lo * h, f_r))
+    if s_lo < s_hi:
+        t = (f_r - f_l - s_hi * h) / (s_lo - s_hi)
+        if 0.0 < t < h:
+            least = min(least, f_l + s_lo * t)
+    return least
 
 
-def _suspicious_cells(xs, fs):
-    cells = set()
-    n = len(xs)
-    for i in range(n - 1):
-        a, b = fs[i], fs[i + 1]
-        if a == 0.0 or b == 0.0 or (a > 0.0) != (b > 0.0):
-            cells.add(i)
-    # A local minimum of |f| may hide a close root pair; a run of saturated
-    # (infinite) values hides none.
-    for i in range(1, n - 1):
-        m = abs(fs[i])
-        if m <= abs(fs[i - 1]) and m <= abs(fs[i + 1]) and m != math.inf:
-            cells.add(i - 1)
-            cells.add(i)
-    return cells
+def scan_roots(fun, lo, hi, slopes):
+    """Bracket every sign change of the scalar function ``fun`` on [lo, hi].
 
+    ``slopes`` = (s_lo, s_hi) bounds the derivative, s_lo <= fun' <= s_hi;
+    either bound may be infinite.  [lo, hi] starts as START_CELLS equal
+    cells, handled from the left:
 
-def _refine(fun, xs, fs):
-    """Insert REFINE_INSERT points into every suspicious cell; the new points
-    go to ``fun`` as one array, in grid order."""
-    cells = sorted(_suspicious_cells(xs, fs))
-    if not cells:
-        return xs, fs
-    fresh = [[float(x) for x in np.linspace(xs[i], xs[i + 1], REFINE_INSERT + 2)[1:-1]]
-             for i in cells]
-    values = iter(fun(np.array([x for pts in fresh for x in pts])).tolist())
-    inserted = dict(zip(cells, fresh))
-    new_xs, new_fs = [], []
-    for i in range(len(xs) - 1):
-        new_xs.append(xs[i])
-        new_fs.append(fs[i])
-        for x in inserted.get(i, ()):
-            new_xs.append(x)
-            new_fs.append(next(values))
-    new_xs.append(xs[-1])
-    new_fs.append(fs[-1])
-    return new_xs, new_fs
+    - a cell whose end values have the same sign is dropped when the slope
+      bound keeps |fun| above SCAN_MARGIN across it (``_least_envelope``);
+    - a cell with a sign change, or with an end where |fun| is at most
+      min(1, max|s|) * r + SCAN_MARGIN, r = (hi - lo) / RESOLUTION_CELLS,
+      is halved down to width r; there a sign change is a bracket and any
+      other cell is dropped;
+    - any other cell is halved.
 
-
-def scan_roots(fun, lo, hi, n):
-    """Bracket every sign change of ``fun`` on [lo, hi].
-
-    ``fun`` maps a 1-D ndarray of points to the ndarray of its values.  It
-    is called once on the base grid and once per refinement level, on that
-    level's new points in ascending order.  Returns (exact_roots, brackets)
-    where brackets are (x_lo, x_hi, f_lo_positive) triples.  Raises
-    CountUnstableError when the count still changes after MAX_REFINE
-    refinement levels.
+    Returns (exact_roots, brackets): the evaluated points where ``fun`` is
+    exactly 0, and (x_lo, x_hi, f_lo_positive) triples, both ascending.
+    Raises CountUnstableError for a cell still undecided when its midpoint
+    is one of its ends (a nan value, say).
     """
-    grid = np.linspace(lo, hi, n)
-    xs, fs = grid.tolist(), fun(grid).tolist()
-    exact, brackets = _sign_changes(xs, fs)
-    counts = [len(exact) + len(brackets)]
-    while True:
-        xs, fs = _refine(fun, xs, fs)
-        exact, brackets = _sign_changes(xs, fs)
-        counts.append(len(exact) + len(brackets))
-        if counts[-1] == counts[-2]:
-            return exact, brackets
-        if len(counts) > MAX_REFINE:
+    s_lo, s_hi = slopes
+    r = (hi - lo) / RESOLUTION_CELLS
+    near = min(1.0, max(abs(s_lo), abs(s_hi))) * r + SCAN_MARGIN
+    exact, brackets = [], []
+
+    def value(x):
+        f = fun(x)
+        if f == 0.0:
+            exact.append(x)
+        return f
+
+    xs = [lo + (hi - lo) * i / START_CELLS for i in range(START_CELLS)] + [hi]
+    fs = [value(x) for x in xs]
+    stack = [(xs[i], fs[i], xs[i + 1], fs[i + 1]) for i in reversed(range(START_CELLS))]
+    while stack:
+        x_l, f_l, x_r, f_r = stack.pop()
+        h = x_r - x_l
+        if math.isnan(f_l) or math.isnan(f_r):
+            pass  # no bound clears a nan end
+        elif (f_l > 0.0 and f_r < 0.0) or (f_l < 0.0 and f_r > 0.0):
+            if h <= r:
+                brackets.append((x_l, x_r, f_l > 0.0))
+                continue
+        elif f_l > 0.0 and f_r > 0.0 and _least_envelope(
+                f_l, f_r, h, s_lo, s_hi) > SCAN_MARGIN:
+            continue
+        elif f_l < 0.0 and f_r < 0.0 and _least_envelope(
+                -f_l, -f_r, h, -s_hi, -s_lo) > SCAN_MARGIN:
+            continue
+        elif abs(f_l) <= near or abs(f_r) <= near:
+            if h <= r:
+                continue
+        mid = 0.5 * (x_l + x_r)
+        if not x_l < mid < x_r:
             raise CountUnstableError(
-                f"root count did not stabilize across refinements: {counts}"
-            )
+                f"cannot decide whether [{x_l!r}, {x_r!r}] holds a root "
+                f"(values {f_l!r}, {f_r!r})")
+        f_m = value(mid)
+        stack.append((mid, f_m, x_r, f_r))
+        stack.append((x_l, f_l, mid, f_m))
+    return sorted(exact), brackets

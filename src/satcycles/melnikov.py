@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AtBifurcationError,
     BadRegimeError,
@@ -268,8 +266,9 @@ def count_simple_zeros(mu: float, p: Params) -> int:
         )
     width = 1.0 - p.b / p.a
     bound = width + 1.0
-    exact, brackets = scan_roots(
-        lambda xs: np.array([M_shift(x, mu, p) for x in xs.tolist()]), -bound, bound, 4096)
+    # Mx = 2*pi*a - (a - b)*m(inner set), with m in [0, 2*pi].
+    slopes = (TWO_PI * min(p.a, p.b), TWO_PI * max(p.a, p.b))
+    exact, brackets = scan_roots(lambda x: M_shift(x, mu, p), -bound, bound, slopes)
     return len(exact) + len(brackets)
 
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 
-from numpy import ndarray
-
 from .errors import CenterRegimeError, CountUnstableError, InvariantViolatedError
 from .exactflow import (
     INNER,
@@ -26,7 +24,6 @@ from .exactflow import (
     P_DEGENERATE,
     _exp,
     advance,
-    advance_batch,
     zone_coeffs,
 )
 from .gridscan import _newton_bracket, scan_roots
@@ -75,11 +72,8 @@ class Regime:
     detail: str
 
 
-def poincare_P(p: Params, x):
-    """Time-2pi return map u(2*pi, 0, x); a 1-D ndarray ``x`` is mapped
-    row by row through ``advance_batch``."""
-    if type(x) is ndarray:
-        return advance_batch(p, x, TWO_PI)
+def poincare_P(p: Params, x: float) -> float:
+    """Time-2pi return map u(2*pi, 0, x)."""
     return advance(p, 0.0, x, TWO_PI).final_state
 
 
@@ -88,9 +82,8 @@ def half_Q(p: Params, x: float) -> float:
     return -advance(p, 0.0, x, math.pi).final_state
 
 
-def displacement_d(p: Params, x):
-    """P(x) - x; zeros are the periodic solutions.  Floats or ndarrays, as
-    ``poincare_P``."""
+def displacement_d(p: Params, x: float) -> float:
+    """P(x) - x; zeros are the periodic solutions."""
     return poincare_P(p, x) - x
 
 
@@ -233,17 +226,20 @@ def _record(p: Params, x0: float, traj, symmetric: bool) -> CycleRecord:
     )
 
 
-def find_all_cycles(p: Params, *, grid: int = 4096) -> list[CycleRecord]:
+def find_all_cycles(p: Params) -> list[CycleRecord]:
     """All limit cycles found by a displacement-sign scan over the trapping band.
 
     The symmetric cycle is located first through the half-map (guaranteed
-    unique fixed point); remaining zeros of the displacement are bracketed
-    on an adaptive grid (each level evaluated as one batch), refined by
-    ``gridscan._newton_bracket`` on the exact slope dP - 1, and classified
-    by the exact multiplier; the cycle whose roots include the symmetric one
-    is flagged symmetric.  Raises CenterRegimeError in (analytically
-    known) center regimes and CountUnstableError when adjacent grid
-    refinements disagree on the root count or a root fails its check.
+    unique fixed point).  The remaining zeros of the displacement are
+    isolated by ``scan_roots`` on the slope bound of d' = dP - 1: dP is
+    exp(2*pi*a_eff + (b_eff - a_eff)*m) with the inner-zone time m in
+    [0, 2*pi], so d' lies between exp(2*pi*min(a_eff, b_eff)) - 1 and
+    exp(2*pi*max(a_eff, b_eff)) - 1.  Each bracket is refined by
+    ``gridscan._newton_bracket`` on the exact slope and classified by the
+    exact multiplier; the cycle whose roots include the symmetric one is
+    flagged symmetric.  Raises CenterRegimeError in (analytically known)
+    center regimes and CountUnstableError when a cell of the scan stays
+    undecided or a root fails its check.
     """
     regime = classify_regime(p)
     if p.lam == 0.0 and regime.tag in ("global_center", "center_no_cycles"):
@@ -261,7 +257,9 @@ def find_all_cycles(p: Params, *, grid: int = 4096) -> list[CycleRecord]:
 
     x_s = _symmetric_root(p, bound) if p.lam == 0.0 else None
     roots = [] if x_s is None else [x_s]
-    exact, brackets = scan_roots(partial(displacement_d, p), -bound, bound, grid)
+    slopes = (_exp(TWO_PI * min(p.a_eff, p.b_eff)) - 1.0,
+              _exp(TWO_PI * max(p.a_eff, p.b_eff)) - 1.0)
+    exact, brackets = scan_roots(partial(displacement_d, p), -bound, bound, slopes)
     roots += exact + [_newton_bracket(d_and_slope, *b, ROOT_XTOL) for b in brackets]
     groups = []  # the roots of each cycle; the first one is its x0
     for r in sorted(roots):

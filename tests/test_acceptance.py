@@ -66,8 +66,7 @@ def test_criterion_02_melnikov_counts():
 def _melnikov_predicted_initials(mu):
     p = Params(a=-1, b=1, mu=0)
     fun = lambda x: M_shift(x, mu, p)
-    exact, brackets = scan_roots(
-        lambda xs: np.array([fun(x) for x in xs.tolist()]), -3.0, 3.0, 4096)
+    exact, brackets = scan_roots(fun, -3.0, 3.0, (-TWO_PI, TWO_PI))  # Mx in 2*pi*[a, b]
     refined = [_newton_bracket(lambda x: (fun(x), Mx(x, mu, p)), lo, hi, pos, 1e-12)
                for lo, hi, pos in brackets]
     zeros = sorted(exact + refined)

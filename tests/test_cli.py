@@ -91,7 +91,7 @@ class TestScan:
         out_path = tmp_path / "scan.csv"
         code, out, _ = run(capsys, [
             "scan", "--a", "-1", "--b", "1", "--mu-min", "1.3", "--mu-max", "1.5",
-            "--n", "2", "--eps-list", "0.05", "--grid", "1024", "--out", str(out_path),
+            "--n", "2", "--eps-list", "0.05", "--out", str(out_path),
         ])
         assert code == 0
         assert "transition eps=0.05: count 3 -> 5" in out
@@ -106,7 +106,7 @@ class TestScan:
         out_path = tmp_path / "scan2.csv"
         code, _, _ = run(capsys, [
             "scan", "--a", "-1", "--b", "1", "--mu-min", "1.0", "--mu-max", "1.2",
-            "--n", "2", "--eps-list", "0.1,0.05", "--grid", "512", "--out", str(out_path),
+            "--n", "2", "--eps-list", "0.1,0.05", "--out", str(out_path),
         ])
         assert code == 0
         _, _, rows = read_csv(out_path)
@@ -171,10 +171,8 @@ class TestRefusals:
         ["orbit3d", "--a", "-1", "--b", "1", "--x0", "0", "--samples", "-1", "--out", "o.csv"],
         ["orbit3d", "--a", "-1", "--b", "1", "--x0", "nan", "--out", "o.csv"],
         ["melnikov", "--a", "-1", "--b", "1", "--x", "nan"],
-        ["cycles", "--a", "-1", "--b", "1", "--mu", "1", "--grid", "1"],
-        ["cycles", "--a", "-1", "--b", "1", "--mu", "1", "--grid", "0"],
     ], ids=["eps-list-abc", "mu-min-nan", "eps-list-inf", "samples-0", "samples-1",
-            "orbit-samples-negative", "x0-nan", "x-nan", "grid-1", "grid-0"])
+            "orbit-samples-negative", "x0-nan", "x-nan"])
     def test_bad_numbers_exit_2_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, argv)
@@ -272,7 +270,7 @@ class TestOrbit3d:
 class TestCrossingsCommand:
     def test_reports_residuals_for_three_zonal(self, capsys):
         code, out, _ = run(capsys, ["crossings", "--a", "-0.05", "--b", "0.05",
-                                    "--mu", "1.5", "--grid", "2048"])
+                                    "--mu", "1.5"])
         assert code == 0
         lines = [l for l in out.splitlines() if l and l[0] in "-0123456789"]
         assert lines, out
@@ -304,18 +302,18 @@ class TestConfig:
         out_path = tmp_path / "cycles.csv"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"a = -1\nb = 1\nmu = 1.2\nlambda = 0.3\ntol-residual = 1e-12\n"
-                       f"grid = 256\nout = {out_path}\n")
+                       f"out = {out_path}\n")
         code, out, _ = run(capsys, ["cycles", "--config", str(cfg)])
         assert code == 0 and "lambda=0.3" in out.splitlines()[0]
         meta, _, _ = read_csv(out_path)
-        assert (meta["lambda"], meta["tol_residual"], meta["grid"]) == ("0.3", "1e-12", "256")
+        assert (meta["lambda"], meta["tol_residual"]) == ("0.3", "1e-12")
 
     @pytest.mark.parametrize("text", [
         "a = abc\nb = 1\n",
-        "a = -1\nb = 1\ngrid = 64.5\n",
+        "a = -1\nb = 1\ngrid = 256\n",
         "a = -1\nb = 1\nalpha = 2\n",
         "a = nan\nb = 1\n",
-    ], ids=["bad-float", "bad-int", "unknown-key", "non-finite"])
+    ], ids=["bad-float", "grid-key", "unknown-key", "non-finite"])
     def test_bad_value_or_unknown_key_exit_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
@@ -346,16 +344,15 @@ class TestCsvRoundTrip:
 _FAST_ARGS = {
     "regime": ["--a", "-1", "--b", "1", "--mu", "1.2"],
     "bifvalues": ["--a", "-1", "--b", "1"],
-    "cycles": ["--a", "-1", "--b", "1", "--mu", "1.2", "--grid", "256"],
-    "scan": ["--a", "-1", "--b", "1", "--mu-min", "1", "--mu-max", "1.2", "--n", "2",
-             "--grid", "256"],
+    "cycles": ["--a", "-1", "--b", "1", "--mu", "1.2"],
+    "scan": ["--a", "-1", "--b", "1", "--mu-min", "1", "--mu-max", "1.2", "--n", "2"],
     "melnikov": ["--a", "-1", "--b", "1", "--mu", "2", "--x", "1"],
     "zeroset": ["--a", "-1", "--b", "1", "--samples", "16", "--out", "z.csv"],
     "orbit3d": ["--a", "-1", "--b", "1", "--mu", "1.2", "--x0", "1.4", "--samples", "16",
                 "--out", "o.csv"],
-    "crossings": ["--a", "-1", "--b", "1", "--mu", "1.2", "--grid", "256"],
+    "crossings": ["--a", "-1", "--b", "1", "--mu", "1.2"],
 }
-_COMMON_NUMBERS = ["--a", "--b", "--mu", "--eps", "--lambda", "--tol-residual", "--grid"]
+_COMMON_NUMBERS = ["--a", "--b", "--mu", "--eps", "--lambda", "--tol-residual"]
 _OWN_NUMBERS = {
     "scan": ["--mu-min", "--mu-max", "--n", "--eps-list", "--workers"],
     "melnikov": ["--x"],

@@ -10,21 +10,27 @@ from satcycles import (
     ZoneCoeffs,
     ZoneSwitchLimitError,
     advance,
-    advance_batch,
     analytic_one_zone_cycles,
     f_eval,
     linear_zone_flow,
+    poincare_P,
     sample,
     transitions,
     zone_coeffs,
 )
 from satcycles import exactflow
 from satcycles.exactflow import _next_contact
-from satcycles.gridscan import _newton_bracket
 
 from oracles import rk4_oracle
 
 TWO_PI = 2.0 * math.pi
+
+
+def _assert_matches_rk4(p, xs, tol=1e-6):
+    """poincare_P against the RK4 oracle (step 1e-3, all starts in one run)."""
+    xs = np.asarray(xs, dtype=float)
+    want = rk4_oracle(p, 0.0, xs, TWO_PI, 1e-3)
+    assert [poincare_P(p, x) for x in xs.tolist()] == pytest.approx(want.tolist(), abs=tol)
 
 
 class TestLinearZoneFlow:
@@ -60,7 +66,7 @@ class TestLinearZoneFlow:
         assert linear_zone_flow(z, 1.0, 0.0, 3.0, 4.0) == math.inf
         assert linear_zone_flow(z, 1.0, 0.0, -3.0, 4.0) == -math.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            out = linear_zone_flow(z, 1.0, np.zeros(3), np.array([3.0, -3.0, 3.0]),
+            out = linear_zone_flow(z, 1.0, 0.0, np.array([3.0, -3.0, 3.0]),
                                    np.array([4.0, 4.0, 1.0]))
         assert out[0] == math.inf and out[1] == -math.inf and math.isfinite(out[2])
 
@@ -165,7 +171,61 @@ class TestAdvance:
             traj = advance(p, 0.0, x, TWO_PI)
             assert traj.final_state == final
             assert [s.zone for s in traj.segments] == [zone]
-        assert advance_batch(p, np.array([3.0, -3.0]), TWO_PI).tolist() == [math.inf, -math.inf]
+
+    def test_starts_on_the_breakpoints(self):
+        for p in (Params(a=-1, b=1, mu=2), Params(a=-1, b=-1, mu=0), Params(a=-1, b=1, mu=1.2)):
+            _assert_matches_rk4(p, [-1.0, 1.0, 0.0])
+            for x in (-1.0, 1.0):
+                below, on, above = (poincare_P(p, x + dx) for dx in (-1e-9, 0.0, 1e-9))
+                assert below <= on <= above and above - below < 1e-6
+
+    def test_grazing_one_zonal_cycle_on_its_existence_boundary(self):
+        # amplitude mu/sqrt(b^2+1) = 1: the inner cycle touches both levels
+        p = Params(a=-1, b=1, mu=math.sqrt(2.0))
+        (x0,) = [r.x0 for r in analytic_one_zone_cycles(p) if r.zonal_type == "one_inner"]
+        assert poincare_P(p, x0) == pytest.approx(x0, abs=1e-12)
+        assert poincare_P(p, x0 - 1e-9) < poincare_P(p, x0) < poincare_P(p, x0 + 1e-9)
+        _assert_matches_rk4(p, [x0, x0 + 1e-9, x0 - 1e-9, 0.0])
+
+    def test_zero_field_excursion(self):
+        # u = x + 1 - cos t: starts on and just inside a level graze it, and
+        # 1e-6 - 1 makes an excursion below -1 around t = 0 and 2*pi
+        p = Params(a=0, b=0, mu=1)
+        xs = [0.0, 1e-6 - 1.0, -1.0, 0.5, -2.0]
+        assert [poincare_P(p, x) for x in xs] == pytest.approx(xs, abs=1e-10)
+        _assert_matches_rk4(p, xs)
+
+    def test_wide_cells_where_the_reach_bound_is_off(self):
+        # |p|*h >= 1/2 for |p| >= 20.4
+        for p in (Params(a=-30, b=1, mu=2), Params(a=-1, b=25, mu=3), Params(a=-22, b=3, mu=2)):
+            _assert_matches_rk4(p, np.linspace(-3, 3, 7))
+
+    def test_fast_forcing(self):
+        _assert_matches_rk4(Params(a=-1, b=1, mu=1000), np.linspace(-30, 30, 7), tol=2e-5)
+
+    def test_degenerate_outer_slope(self):
+        p = Params(a=1e-12, b=-1, mu=1.5)
+        assert abs(p.a_eff) < exactflow.P_DEGENERATE
+        _assert_matches_rk4(p, np.linspace(-4, 4, 9))
+
+    def test_saturated_exponential(self):
+        # b = 5000: p*h is about 122 in the inner zone, so the exponential
+        # saturates a few cells into each inner-zone search.  The inner
+        # solution e**(5000 t)*(x - v(0)) + v(t) leaves |u| <= 1 at about
+        # t = log(1/|x - v(0)|)/5000, and no outer solution comes back.
+        p = Params(a=-1, b=5000, mu=1)
+        v0 = -1.0 / (5000.0**2 + 1.0)
+        finals = []
+        for x in np.linspace(-3, 3, 13).tolist():
+            traj = advance(p, 0.0, x, TWO_PI)
+            finals.append(traj.final_state)
+            if abs(x) < 1.0:
+                ((t_exit, level, _, zone),) = transitions(traj)
+                assert (level, zone) == ((1.0, UPPER) if x > v0 else (-1.0, "lower"))
+                assert t_exit == pytest.approx(math.log(1.0 / abs(x - v0)) / 5000.0, rel=1e-3)
+            else:
+                assert len(traj.segments) == 1
+        assert all(math.isfinite(f) for f in finals) and finals == sorted(finals)
 
     def test_sample_matches_endpoints_and_events(self):
         p = Params(a=-1, b=1, mu=1.5)
@@ -211,105 +271,6 @@ class TestContactSearchEdges:
         assert far.a_in_measure == pytest.approx(near.a_in_measure, abs=1e-8)
 
 
-def _scalar_finals(p, xs, t_end):
-    return np.array([advance(p, 0.0, x, t_end).final_state for x in xs.tolist()])
-
-
-def _assert_batch_matches_scalar(p, xs, t_end=TWO_PI):
-    xs = np.asarray(xs, dtype=float)
-    got = advance_batch(p, xs, t_end)
-    want = _scalar_finals(p, xs, t_end)
-    assert got.shape == xs.shape
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(xs))), (got, want)
-
-
-class TestAdvanceBatch:
-    def test_matches_scalar_advance_on_seeded_draws(self):
-        rng = np.random.default_rng(20261018)
-        for i in range(6):
-            if i % 2:
-                p = Params(a=-1.0, b=1.0, mu=rng.uniform(0.6, 2.4), eps=(1.0, 0.05)[i // 2 % 2])
-            else:
-                p = Params(a=rng.uniform(-3, 3), b=rng.uniform(-3, 3), mu=rng.uniform(0, 3),
-                           eps=rng.uniform(0.05, 1.0), lam=rng.uniform(-0.5, 0.5))
-            xs = np.concatenate([rng.uniform(-4, 4, 40), rng.uniform(-1.1, 1.1, 40)])
-            _assert_batch_matches_scalar(p, xs, rng.choice([TWO_PI, math.pi, 9.0]))
-
-    def test_starts_on_the_breakpoints(self):
-        for p in (Params(a=-1, b=1, mu=2), Params(a=-1, b=-1, mu=0), Params(a=-1, b=1, mu=1.2)):
-            _assert_batch_matches_scalar(p, [-1.0, 1.0, 0.0, 1.0, -1.0])
-
-    def test_grazing_one_zonal_cycle_on_its_existence_boundary(self):
-        # amplitude mu/sqrt(b^2+1) = 1: the inner cycle touches both levels
-        p = Params(a=-1, b=1, mu=math.sqrt(2.0))
-        (x0,) = [r.x0 for r in analytic_one_zone_cycles(p) if r.zonal_type == "one_inner"]
-        _assert_batch_matches_scalar(p, [x0, x0 + 1e-9, x0 - 1e-9, 0.0])
-        assert advance_batch(p, np.array([x0]), TWO_PI)[0] == pytest.approx(x0, abs=1e-12)
-
-    def test_zero_field_excursion(self):
-        p = Params(a=0, b=0, mu=1)
-        xs = np.array([0.0, 1e-6 - 1.0, -1.0, 0.5, -2.0])
-        _assert_batch_matches_scalar(p, xs)
-        assert advance_batch(p, xs, TWO_PI) == pytest.approx(xs, abs=1e-10)
-
-    def test_wide_cells_where_the_reach_bound_is_off(self):
-        # |p|*h >= 1/2 for |p| >= 20.4
-        for p in (Params(a=-30, b=1, mu=2), Params(a=-1, b=25, mu=3), Params(a=-22, b=3, mu=2)):
-            _assert_batch_matches_scalar(p, np.linspace(-3, 3, 25))
-
-    def test_fast_forcing(self):
-        p = Params(a=-1, b=1, mu=1000)
-        _assert_batch_matches_scalar(p, np.linspace(-30, 30, 41))
-
-    def test_degenerate_outer_slope(self):
-        p = Params(a=1e-12, b=-1, mu=1.5)
-        assert abs(p.a_eff) < exactflow.P_DEGENERATE
-        _assert_batch_matches_scalar(p, np.linspace(-4, 4, 25))
-
-    def test_saturated_exponential(self):
-        # p*h is about 122 in the inner zone, so the exponential saturates
-        # a few cells into each inner-zone search
-        p = Params(a=-1, b=5000, mu=1)
-        _assert_batch_matches_scalar(p, np.linspace(-3, 3, 13))
-
-    def test_empty_and_chunked_inputs(self, monkeypatch):
-        p = Params(a=-1, b=1, mu=1.5, eps=0.05)
-        assert advance_batch(p, np.array([]), TWO_PI).shape == (0,)
-        monkeypatch.setattr(exactflow, "BATCH_ELEMENTS", 3 * exactflow.BATCH_COLUMNS)
-        _assert_batch_matches_scalar(p, np.linspace(-3, 1, 10))
-
-
-class TestContactTimes:
-    def test_saturated_rows_refine_as_the_scalar_rule(self):
-        # a = 200: the outer flows leave the doubles 3.5 into the search, so
-        # the first point of the [0, 8] brackets reads +inf or -inf with an
-        # infinite slope (a bisection step); a nan state reads inf at every
-        # point and keeps the midpoint.  Each row ends where _newton_bracket
-        # on (u - level, u') ends on its own.
-        p = Params(a=200, b=-1, mu=1)
-        zcs = [zone_coeffs(p, z) for z in exactflow._ZONES]
-        lower, _, upper = (r.x0 for r in analytic_one_zone_cycles(p))
-        rows = [(0, lower + 1e-3, -1.0, 0.0, 0.5), (0, lower + 1e-6, -1.0, 0.0, 8.0),
-                (2, upper - 1e-6, 1.0, 0.0, 8.0), (2, math.nan, 1.0, 0.0, 8.0)]
-        zone, x, level, lo, hi = (np.array(col) for col in zip(*rows))
-        assert [linear_zone_flow(zcs[c], 1.0, 0.0, x0, 4.0) for c, x0, *_ in rows[1:]] == [
-            math.inf, -math.inf, math.inf]
-        got = exactflow._contact_times(
-            zcs, np.array([zcs[c].p for c in zone]), np.array([zcs[c].q for c in zone]), 1.0,
-            zone, np.zeros(len(rows)), x, level, lo, hi, x > level)
-        for (c, x0, lv, t_lo, t_hi), t in zip(rows, got.tolist()):
-            def gap(s):
-                u = linear_zone_flow(zcs[c], 1.0, 0.0, x0, s)
-                return u - lv, zcs[c].p * u + zcs[c].q + math.sin(s)
-
-            assert t == pytest.approx(
-                _newton_bracket(gap, t_lo, t_hi, x0 > lv, exactflow.CROSSING_TIME_TOL), abs=1e-12)
-            if math.isnan(x0):
-                assert t == 4.0
-            else:
-                assert abs(gap(t)[0]) < 1e-12
-
-
 class TestReachTest:
     """The reach test only skips extremum cells that hold no contact: with
     it switched off (every extremum refined), advance is bitwise the same."""
@@ -349,18 +310,17 @@ class TestReachTest:
         monkeypatch.setattr(exactflow, "_reach", lambda *args: math.inf)
         assert [repr(advance(p, tau, x, t)) for p, tau, x, t in cases] == with_reach
 
-    def test_bound_on_floats_and_arrays_agree(self):
+    def test_bound_is_off_for_wide_cells_and_strong_growth(self):
         args = [(-1.0, 0.0, 1.2, 0.3, TWO_PI, TWO_PI / 256), (1.0, 2.0, 2.0, -1.5, 3.0, 0.01),
                 (25.0, 0.0, 1.0, 0.0, 1.0, 0.03), (1e-12, 0.5, 1.0, 2.0, TWO_PI, 0.02),
                 (3.0, 0.0, 1.0, 0.0, 50.0, 0.02)]
-        floats = [exactflow._reach(*a) for a in args]
-        arrays = exactflow._reach(*(np.array(col) for col in zip(*args)))
-        assert arrays.tolist() == pytest.approx(floats, rel=1e-14)
-        assert floats[2] == math.inf  # |p|*h >= 1/2
-        assert floats[4] == math.inf  # growth beyond REACH_MAX_GROWTH
+        bounds = [exactflow._reach(*a) for a in args]
+        assert all(math.isfinite(b) for b in (bounds[0], bounds[1], bounds[3]))
+        assert bounds[2] == math.inf  # |p|*h >= 1/2
+        assert bounds[4] == math.inf  # growth beyond REACH_MAX_GROWTH
         # M2*h^2 with M2 = |mu|/(1 - |p|*h), plus the touch tolerance twice
         h = TWO_PI / 256
-        assert floats[0] == pytest.approx(1.2 * h * h / (1 - h), rel=1e-6)
+        assert bounds[0] == pytest.approx(1.2 * h * h / (1 - h), rel=1e-6)
 
 
 class TestZoneCoeffs:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from satcycles import Params, analytic_one_zone_cycles, dP, displacement_d
 from satcycles.gridscan import _newton_bracket, scan_roots
 
 
@@ -89,68 +90,55 @@ class TestNewtonBracket:
         assert calls[0] == 3
 
 
+    def test_returns_an_end_of_the_final_bracket(self):
+        # a = 200: d reads -inf below the one_lower cycle and about 0.50
+        # above it, so no |value| is small; the first point, 4.7e-4 above
+        # the cycle, has the smallest one and lies outside the final bracket
+        p = Params(a=200, b=-1, mu=1)
+        root = _newton_bracket(lambda x: (displacement_d(p, x), dP(p, x) - 1.0),
+                               -1.00529296875, -1.0038232421875, False, 1e-12)
+        assert root == pytest.approx(analytic_one_zone_cycles(p)[0].x0, abs=1e-12)
+
 def test_saturated_plateaus_are_not_refined():
-    # a run of infinite values (a flow that left the doubles) hides no root
-    # pair; only the cells around the sign change and the minimum of |f|
-    # get new points
-    sizes = []
+    # a run of infinite values (a flow that left the doubles) hides no root:
+    # its cells are dropped as they come, and only the cell of the sign
+    # change is halved, six times from width 2/64 down to 2/4095
+    xs = []
 
-    def fun(xs):
-        sizes.append(xs.size)
-        return np.where(xs > 0.5, np.inf, xs - 0.23)
+    def fun(x):
+        xs.append(x)
+        return math.inf if x > 0.5 else x - 0.23
 
-    exact, brackets = scan_roots(fun, -1.0, 1.0, 41)
+    exact, brackets = scan_roots(fun, -1.0, 1.0, (1.0, math.inf))
     assert exact == [] and [(lo < 0.23 < hi) for lo, hi, _ in brackets] == [True]
-    assert sizes[0] == 41 and max(sizes[1:]) <= 3 * 8
+    assert len(xs) == 65 + 6
 
 
-def _scan_roots_pointwise(fun, lo, hi, n, max_refine=5, insert=8):
-    """The scan as it was before the array contract: one call per point.
-    Reference for the order of the points and for the result."""
-    from satcycles.gridscan import _sign_changes, _suspicious_cells
-
-    xs = [float(v) for v in np.linspace(lo, hi, n)]
-    fs = [fun(x) for x in xs]
-    counts = [sum(map(len, _sign_changes(xs, fs)))]
-    while True:
-        cells = _suspicious_cells(xs, fs)
-        new_xs, new_fs = [], []
-        for i in range(len(xs) - 1):
-            new_xs.append(xs[i])
-            new_fs.append(fs[i])
-            if i in cells:
-                for x in np.linspace(xs[i], xs[i + 1], insert + 2)[1:-1]:
-                    new_xs.append(float(x))
-                    new_fs.append(fun(float(x)))
-        xs, fs = new_xs + [xs[-1]], new_fs + [fs[-1]]
-        exact, brackets = _sign_changes(xs, fs)
-        counts.append(len(exact) + len(brackets))
-        if counts[-1] == counts[-2] or len(counts) > max_refine:
-            return exact, brackets
-
-
-class TestScanRootsArrayContract:
-    @pytest.mark.parametrize("fun", [
-        lambda x: np.sin(7.0 * x) + 0.999 * np.cos(3.0 * x),
-        lambda x: (x - 0.3) * (x - 0.30001) * (x + 0.7),
-    ])
-    def test_one_call_per_level_on_the_same_points(self, fun):
+class TestScanRootsContract:
+    @pytest.mark.parametrize("fun, slopes", [
+        (lambda x: math.sin(7.0 * x) + 0.5 * math.cos(3.0 * x), (-8.5, 8.5)),
+        # roots -0.7, 0.3 and 0.303: the close pair is three widths apart
+        (lambda x: (x - 0.3) * (x - 0.303) * (x + 0.7), (-0.34, 12.1)),
+    ], ids=["trigonometric", "close-pair"])
+    def test_brackets_every_sign_change_once(self, fun, slopes):
         calls = []
 
-        def batched(xs):
-            assert type(xs) is np.ndarray and xs.ndim == 1
-            calls.append(xs.tolist())
-            return fun(xs)
-
-        pointwise = []
-
         def scalar(x):
-            pointwise.append(x)
-            return float(fun(np.float64(x)))
+            assert type(x) is float
+            calls.append(x)
+            return fun(x)
 
-        result = scan_roots(batched, -2.0, 2.0, 64)
-        assert result == _scan_roots_pointwise(scalar, -2.0, 2.0, 64)
-        assert calls[0] == np.linspace(-2.0, 2.0, 64).tolist()
-        assert [x for level in calls for x in level] == pointwise
-        assert len(calls) >= 2
-        assert all(level == sorted(level) and level for level in calls)
+        exact, brackets = scan_roots(scalar, -2.0, 2.0, slopes)
+        grid = np.linspace(-2.0, 2.0, 400_000)  # no point on a root
+        values = np.array([fun(float(x)) for x in grid])
+        roots = grid[:-1][np.sign(values[:-1]) != np.sign(values[1:])]
+        assert exact == [] and len(brackets) == len(roots)
+        for (lo, hi, lo_pos), root in zip(brackets, roots.tolist()):
+            assert lo <= root < hi and hi - lo <= 4.0 / 4095 and lo_pos == (fun(lo) > 0.0)
+        assert [b[0] for b in brackets] == sorted(b[0] for b in brackets)
+        # each point once, and a small fraction of a 4096-point grid
+        assert len(set(calls)) == len(calls) < 200
+
+    def test_exact_zero_on_a_start_point(self):
+        # x = 0 is the 33rd of the 65 start points
+        assert scan_roots(lambda x: x, -1.0, 1.0, (1.0, 1.0)) == ([0.0], [])

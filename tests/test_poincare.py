@@ -20,7 +20,7 @@ from satcycles import (
     linear_zone_flow,
     poincare_P,
 )
-from satcycles import gridscan, poincare
+from satcycles import poincare
 from satcycles.gridscan import scan_roots
 
 TWO_PI = 2.0 * math.pi
@@ -177,21 +177,32 @@ class TestFindAllCycles:
 
 
     def test_each_cycle_is_integrated_once_after_refinement(self, monkeypatch):
-        # a refined root that the Newton refinement evaluated keeps its
+        # the scan integrates each of its points once, then the refinement
+        # runs; a refined root that the Newton refinement evaluated keeps its
         # trajectory for the record, so no x is integrated over a period twice
-        runs = []
+        scan, runs = [], []
 
         def counting(p, tau, x, t_end):
             if t_end == TWO_PI:
                 runs.append(x)
             return advance(p, tau, x, t_end)
 
+        def scanned(p, x):
+            scan.append(x)
+            return displacement_d(p, x)
+
         monkeypatch.setattr(poincare, "advance", counting)
+        monkeypatch.setattr(poincare, "displacement_d", scanned)
         assert len(find_all_cycles(Params(a=-1, b=1, mu=1.2))) == 3
-        assert runs and len(runs) == len(set(runs))
-        # Newton on the exact slope: two or three periods per cycle here (the
-        # root 1.4 sits one ulp inside its scan bracket); bisection took ~25
-        assert len(runs) <= 9
+        assert runs[:len(scan)] == scan and len(set(scan)) == len(scan)
+        # the slope bound drops most cells at once: far fewer points than
+        # a 4096-point grid
+        assert len(scan) < 200
+        refinement = runs[len(scan):]
+        assert refinement and len(refinement) == len(set(refinement))
+        # Newton on the exact slope: two or three periods per cycle here;
+        # bisection took ~25
+        assert len(refinement) <= 9
 
     def test_root_with_a_huge_multiplier_is_confirmed(self):
         # the one_inner multiplier 8.8e7 moves d by about 2.4e-9 from one
@@ -228,8 +239,8 @@ class TestSaturation:
         assert [(r.zonal_type, r.symmetric) for r in records] == [("one_inner", True)]
 
 
-def test_scan_instability_is_reported(monkeypatch):
-    # a frequency far above the base grid keeps revealing new sign changes
-    monkeypatch.setattr(gridscan, "MAX_REFINE", 3)
-    with pytest.raises(CountUnstableError):
-        scan_roots(lambda x: np.sin(3000.0 * x), 0.0, 1.0, 16)
+def test_scan_instability_is_reported():
+    # no slope bound clears a cell with a nan end: the cell next to the nan
+    # region is halved down to adjacent doubles and named
+    with pytest.raises(CountUnstableError, match=r"\[0\.4, 0\.4000000000000001\]"):
+        scan_roots(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.2, 0.0, 1.0, (1.0, 1.0))
