@@ -20,7 +20,7 @@ from .errors import BracketFailedError, NoConvergenceError, OrderViolatedError
 from .exactflow import INNER, LOWER, TWO_PI, UPPER, advance, linear_zone_flow, transitions, zone_coeffs
 from .gridscan import _newton_bracket
 from .model import Params
-from .poincare import ROOT_XTOL, _bias_derivative
+from .poincare import ROOT_XTOL, _bias_derivative, _bias_gain
 
 __all__ = [
     "CrossingSequence",
@@ -214,25 +214,25 @@ def extract_crossings(p: Params, x0: float):
 def lambda_of_x(p: Params, x: float) -> float:
     """The unique bias lam with d(x; lam) = 0, by Newton on the exact slope.
 
-    The displacement is strictly increasing in lam (its derivative, the
-    variational solution of y' = p(t)*y + 1 along the exact arcs, is
-    positive), so d(0) and one probe at -bound or +bound bracket the root,
-    which ``_newton_bracket`` refines on (d, dd/dlam).  Local extrema of
-    lam(x) along a scan flag saddle-node candidates of the lam-family.
+    dd/dlam lies in [S(min), S(max)], S = ``_bias_gain(., 2*pi)`` of the slopes a_eff and
+    b_eff, so d(0) brackets the root: -d(0)/S(max) to -d(0)/S(min), widened by 1e-9.  A
+    result with |d| > 1e-10*max(1, |x|) raises NoConvergenceError.  Extrema of lam(x) flag folds.
     """
+    ds = {}  # every (lam, d) evaluated
+
     def d_and_slope(lam):
         biased = replace(p, lam=lam)
         traj = advance(biased, 0.0, x, TWO_PI)
-        return traj.final_state - x, _bias_derivative(biased, traj)
+        d = ds[lam] = traj.final_state - x
+        return d, _bias_derivative(biased, traj)
 
     d0 = d_and_slope(0.0)[0]
     if abs(d0) < 1e-10:
         return 0.0
-    bound = 10.0 * (1.0 + abs(p.a) + abs(p.b) + abs(p.mu))
-    far = -bound if d0 > 0.0 else bound
-    if (d_and_slope(far)[0] > 0.0) == (d0 > 0.0):
-        raise BracketFailedError(
-            f"displacement does not change sign for |lam| <= {bound:.3g}"
-        )
-    # d < 0 at the smaller end of the bracket.
-    return _newton_bracket(d_and_slope, min(0.0, far), max(0.0, far), False, ROOT_XTOL)
+    if not math.isfinite(d0):
+        raise BracketFailedError(f"displacement at x={x!r}, lam=0 is {d0!r}")
+    lo, hi = sorted(-d0 / _bias_gain(s, TWO_PI) for s in (p.a_eff, p.b_eff))  # d(lo) < 0
+    lam = _newton_bracket(d_and_slope, lo - 1e-9 * abs(lo), hi + 1e-9 * abs(hi), False, ROOT_XTOL)
+    if not abs(d := ds.get(lam, math.nan)) <= 1e-10 * max(1.0, abs(x)):
+        raise NoConvergenceError(f"lambda_of_x at x={x!r}: |d| = {abs(d):.3e} at lam={lam!r}")
+    return lam

@@ -25,7 +25,8 @@ class CenterRegimeError(SatcyclesError):
 
 class CountUnstableError(SatcyclesError):
     """A root count cannot be certified: a cell of the root scan stays
-    undecided down to adjacent doubles, or a refined root fails its check."""
+    undecided down to adjacent doubles, a refined root fails its check, or
+    the count at lam = 0 is even."""
 
 
 class NoConvergenceError(SatcyclesError):

@@ -91,6 +91,15 @@ def _multiplier_from_measure(p: Params, a_in_measure: float) -> float:
     return _exp(TWO_PI * p.a_eff + (p.b_eff - p.a_eff) * a_in_measure)
 
 
+def _bias_gain(slope: float, dt: float) -> float:
+    """Solution at time dt of y' = slope*y + 1 from y = 0: expm1(slope*dt)/slope,
+    dt when |slope| < P_DEGENERATE and inf once slope*dt saturates."""
+    if abs(slope) < P_DEGENERATE:
+        return dt
+    z = slope * dt
+    return math.expm1(z) / slope if z < EXP_SATURATION else math.inf
+
+
 def _bias_derivative(p: Params, traj) -> float:
     """Derivative of the trajectory's final state in lam: y' = p(t)*y + 1
     from y = 0, solved exactly on each segment.  The field is continuous, so
@@ -99,11 +108,7 @@ def _bias_derivative(p: Params, traj) -> float:
     for seg in traj.segments:
         slope = zone_coeffs(p, seg.zone).p
         dt = seg.t_end - seg.t_start
-        if abs(slope) < P_DEGENERATE:
-            y += dt
-        else:
-            z = slope * dt
-            y = _exp(z) * y + (math.expm1(z) if z < EXP_SATURATION else math.inf) / slope
+        y = (y if abs(slope) < P_DEGENERATE else _exp(slope * dt) * y) + _bias_gain(slope, dt)
     return y
 
 
@@ -239,7 +244,8 @@ def find_all_cycles(p: Params) -> list[CycleRecord]:
     exact multiplier; the cycle whose roots include the symmetric one is
     flagged symmetric.  Raises CenterRegimeError in (analytically known)
     center regimes and CountUnstableError when a cell of the scan stays
-    undecided or a root fails its check.
+    undecided, a root fails its check, or the count at lam = 0 is even
+    (there Q pairs every non-symmetric cycle with another).
     """
     regime = classify_regime(p)
     if p.lam == 0.0 and regime.tag in ("global_center", "center_no_cycles"):
@@ -267,5 +273,9 @@ def find_all_cycles(p: Params) -> list[CycleRecord]:
             groups[-1].append(r)
         else:
             groups.append([r])
+    if p.lam == 0.0 and len(groups) % 2 == 0:
+        raise CountUnstableError(
+            f"{len(groups)} cycles at lam = 0, where Q pairs the non-symmetric ones: "
+            f"x_s={x_s!r}, roots {[g[0] for g in groups]!r}")
     return [_record(p, g[0], trajs[g[0]] if g[0] in trajs else advance(p, 0.0, g[0], TWO_PI),
                     x_s in g) for g in groups]

@@ -62,6 +62,17 @@ class TestCycles:
         assert code == 2
         assert "center" in err
 
+    def test_even_count_at_zero_bias_exit_3(self, capsys):
+        # 4 cycles at lam = 0 cannot be right (Q pairs the non-symmetric
+        # ones): refused with one error line, or the 5 that are there
+        code, out, err = run(capsys, ["cycles", "--a", "-1", "--b", "1", "--mu", "1.41512",
+                                      "--eps", "0.05"])
+        if code == 0:
+            assert out.startswith("5 limit cycle(s)")
+        else:
+            assert code == 3 and out == ""
+            assert err.startswith("error: 4 cycles at lam = 0") and err.count("\n") == 1
+
     def test_counts_invariant_under_symmetries(self, capsys):
         counts = []
         for a, b, mu in (("-1", "1", "1.2"), ("-1", "1", "-1.2"), ("1", "-1", "1.2")):

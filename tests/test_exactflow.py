@@ -261,6 +261,31 @@ class TestContactSearchEdges:
         assert 0.5 * (t_up + t_down) == pytest.approx(math.pi, abs=1e-9)
         assert t_down - t_up == pytest.approx(2.0 * math.acos(1.0 - 1e-6), abs=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason="known defect: the departure side of a start on "
+                       "a level comes from the sign of x' while the contact search reads "
+                       "the side from its probes")
+    def test_start_on_a_level_with_an_unresolvable_dip(self):
+        # x' = lam < 0 at t = 0 sends the start to the lower zone, but the
+        # flow dips below -1 by only 1e-15 and is back above it at t = 6.4e-8;
+        # the probe at 1e-9 rounds to -1 and the next one reads the inner side
+        p = Params(a=1e-7, b=0, mu=2, lam=-6.366198730332827e-08)
+        traj = advance(p, 0.0, -1.0, TWO_PI)
+        bands = {"lower": (-math.inf, -1.0), INNER: (-1.0, 1.0), UPPER: (1.0, math.inf)}
+        for seg in traj.segments:
+            lo, hi = bands[seg.zone]
+            us = sample(p, traj, np.linspace(seg.t_start, seg.t_end, 101)[1:-1])
+            assert np.all((lo - 1e-12 <= us) & (us <= hi + 1e-12))
+
+    @pytest.mark.xfail(strict=True, raises=ZoneSwitchLimitError,
+                       reason="known defect: linear_zone_flow's (q/p)*(e - 1) loses |q/p| "
+                       "ulps for small nonzero p")
+    def test_tiny_nondegenerate_slope(self):
+        # p = 1e-9 is above P_DEGENERATE; e - 1 rounds to a multiple of
+        # 2.2e-16 and |q/p| = 1e9 scales that to 1e-7, so contact and probe
+        # values disagree and the contacts repeat up to MAX_SWITCHES
+        traj = advance(Params(a=1, b=1, mu=1, eps=1e-9, lam=-1), 0.0, 0.0, TWO_PI)
+        assert traj.final_state == pytest.approx(-TWO_PI, abs=1e-6)
+
     def test_far_start_time_terminates(self):
         # at |t| >= 8192 one ulp of time exceeds CROSSING_TIME_TOL = 1e-12
         p = Params(a=-1, b=1, mu=1.2)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,17 @@ class TestFindAllCycles:
     def test_five_cycles_in_the_window(self):
         recs = find_all_cycles(Params(a=-0.05, b=0.05, mu=1.5))
         assert len(recs) == 5
+
+    def test_count_at_zero_bias_is_never_even(self):
+        # next to the pitchfork at eps 0.05 the three three-zonal cycles
+        # (-1.418641, -1.41397, -1.409298) lie within one scan cell; at
+        # lam = 0 Q pairs the non-symmetric cycles, so 4 is refused
+        try:
+            recs = find_all_cycles(Params(a=-1, b=1, mu=1.41512, eps=0.05))
+        except CountUnstableError as exc:
+            assert re.match(r"4 cycles at lam = 0.*x_s=-1\.4139.*roots \[", str(exc))
+        else:
+            assert len(recs) == 5
 
     def test_center_regimes_refuse(self):
         with pytest.raises(CenterRegimeError):
