@@ -123,11 +123,15 @@ def _saturating():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _exp(z):
+def _exp(z: float) -> float:
+    return math.exp(z) if z < EXP_SATURATION else math.inf
+
+
+def _expm1(z):
     if type(z) is ndarray:
         with np.errstate(over="ignore"):
-            return np.where(z < EXP_SATURATION, np.exp(z), math.inf)
-    return math.exp(z) if z < EXP_SATURATION else math.inf
+            return np.where(z < EXP_SATURATION, np.expm1(z), math.inf)
+    return math.expm1(z) if z < EXP_SATURATION else math.inf
 
 
 def linear_zone_flow(z: ZoneCoeffs, mu: float, tau: float, x: float, t):
@@ -138,21 +142,22 @@ def linear_zone_flow(z: ZoneCoeffs, mu: float, tau: float, x: float, t):
     than numpy on scalars; the exact type test keeps the dispatch cheap on
     this hot path.
 
-    The value equals e*(x - v(tau)) + v(t), with e = exp(p*(t - tau)) and v
-    the zone's periodic solution.  Where it leaves the doubles (only a zone
-    with p > 0 grows) it saturates to inf with the sign of x - v(tau).
+    The value is x + expm1(p*(t - tau))*(x - v(tau)) + (v(t) - v(tau)), with
+    v the zone's periodic solution; expm1 keeps it exact for small nonzero
+    p, where exp(p*dt) - 1 would cancel.  Where it leaves the doubles (only
+    a zone with p > 0 grows) it saturates to inf with the sign of x - v(tau).
     """
     cos, sin = (np.cos, np.sin) if type(t) is ndarray else (math.cos, math.sin)
     p, q = z.p, z.q
     dt = t - tau
     if abs(p) < P_DEGENERATE:
         return x + q * dt + mu * (math.cos(tau) - cos(t))
-    e = _exp(p * dt)
     c = p * p + 1.0
     w = p * math.sin(tau) + math.cos(tau)
-    u = e * x + (q / p) * (e - 1.0) + mu * (e * w - (p * sin(t) + cos(t))) / c
+    gap = x + q / p + mu * w / c  # x - v(tau)
+    u = x + _expm1(p * dt) * gap + mu * (w - (p * sin(t) + cos(t))) / c
     if p > 0.0 and not (np.isfinite(u).all() if type(u) is ndarray else math.isfinite(u)):
-        side = np.copysign(math.inf, x + q / p + mu * w / c)  # the sign of x - v(tau)
+        side = np.copysign(math.inf, gap)
         u = np.where(np.isfinite(u), u, side) if type(u) is ndarray else float(side)
     return u
 

@@ -20,7 +20,6 @@ from .exactflow import (
     LOWER,
     TWO_PI,
     UPPER,
-    EXP_SATURATION,
     P_DEGENERATE,
     _exp,
     advance,
@@ -89,27 +88,6 @@ def displacement_d(p: Params, x: float) -> float:
 
 def _multiplier_from_measure(p: Params, a_in_measure: float) -> float:
     return _exp(TWO_PI * p.a_eff + (p.b_eff - p.a_eff) * a_in_measure)
-
-
-def _bias_gain(slope: float, dt: float) -> float:
-    """Solution at time dt of y' = slope*y + 1 from y = 0: expm1(slope*dt)/slope,
-    dt when |slope| < P_DEGENERATE and inf once slope*dt saturates."""
-    if abs(slope) < P_DEGENERATE:
-        return dt
-    z = slope * dt
-    return math.expm1(z) / slope if z < EXP_SATURATION else math.inf
-
-
-def _bias_derivative(p: Params, traj) -> float:
-    """Derivative of the trajectory's final state in lam: y' = p(t)*y + 1
-    from y = 0, solved exactly on each segment.  The field is continuous, so
-    y does not jump at a contact."""
-    y = 0.0
-    for seg in traj.segments:
-        slope = zone_coeffs(p, seg.zone).p
-        dt = seg.t_end - seg.t_start
-        y = (y if abs(slope) < P_DEGENERATE else _exp(slope * dt) * y) + _bias_gain(slope, dt)
-    return y
 
 
 def dP(p: Params, x: float) -> float:

@@ -24,8 +24,8 @@ from satcycles import (
     solve_crossing_system,
 )
 from satcycles import crossings
-from satcycles.crossings import _residual_direct_raw
-from satcycles.poincare import _bias_derivative, _bias_gain
+from satcycles.crossings import _bias_derivative, _residual_direct_raw
+from satcycles.exactflow import ZoneCoeffs, linear_zone_flow
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,15 +143,40 @@ class TestSolver:
         sol2 = solve_crossing_system(p, bumped)
         assert np.max(np.abs(sol.as_array() - sol2.as_array())) < 1e-9
 
+    @pytest.mark.parametrize("a, mu, x", [(-0.05, 1.5, -1.5), (-1.0, 2.5, -1.5),
+                                          (-0.02, 2.3, -3.5), (-0.02, 2.3, -1.0)])
+    def test_closed_form_step_and_multiplier(self, a, mu, x):
+        # at biased three-zonal cycles: prod(A)/prod(B) is the multiplier, and
+        # at kicked sequences the closed-form step solves a central-difference
+        # Jacobian (step 1e-5: the lower leg's fields are about 0.01 there, so
+        # the Jacobian's condition number reaches 1e5 and rounding at a 1e-7
+        # step costs 1e-4)
+        p = Params(a=a, b=-a, mu=mu)
+        q = dataclasses.replace(p, lam=lambda_of_x(p, x))
+        t = extract_crossings(q, x).as_array()
+        A, B = crossings._leg_fields(q, t.tolist(), _residual_direct_raw(q, *t).tolist())
+        assert math.prod(A) / math.prod(B) == pytest.approx(dP(q, x), rel=1e-12)
+        rng = np.random.default_rng(11)
+        h = 1e-5
+        for _ in range(3):
+            kicked = t + rng.uniform(-1e-3, 1e-3, 4)
+            r = _residual_direct_raw(q, *kicked)
+            jac = np.column_stack([(_residual_direct_raw(q, *(kicked + e))
+                                    - _residual_direct_raw(q, *(kicked - e))) / (2.0 * h)
+                                   for e in h * np.eye(4)])
+            step = crossings._newton_step(q, kicked.tolist(), r.tolist())
+            assert step == pytest.approx(np.linalg.solve(jac, -r), rel=1e-4)
+
+    def test_zero_end_field_is_a_singular_jacobian(self):
+        # b = mu = lam = 0: the inner field vanishes, so the first leg's end
+        # field B_1 is an exact zero pivot
+        with pytest.raises(NoConvergenceError, match="singular Jacobian"):
+            solve_crossing_system(Params(a=-1, b=0, mu=0), CrossingSequence(0.5, 2.0, 3.5, 5.0))
+
     def test_infeasible_parameters_do_not_converge(self):
         p = Params(a=-0.05, b=0.05, mu=0.1)
         with pytest.raises(NoConvergenceError):
             solve_crossing_system(p, CrossingSequence(0.5, 2.0, 3.5, 5.0))
-
-
-# Slopes 0 or |s| in [0.1, 2]; with eps 0 or in [0.1, 1.5], every nonzero
-# effective slope is at least 0.01 in size.
-_slope = st.just(0.0) | st.floats(0.1, 2) | st.floats(-2, -0.1)
 
 
 class TestLambdaOfX:
@@ -211,18 +236,18 @@ class TestLambdaOfX:
             lambda_of_x(Params(a=200, b=-1, mu=1), 3.0)
 
     @settings(deadline=None)
-    @given(_slope, _slope, st.floats(0, 3), st.just(0.0) | st.floats(0.1, 1.5),
+    @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 3), st.floats(0, 1.5),
            st.floats(-2, 2), st.floats(-4, 4).filter(lambda v: abs(v) != 1.0))
     def test_bias_slope_bounds_and_bracket(self, a, b, mu, eps, lam, x):
         # y' = p(t)*y + 1 from 0 with p(t) in {a_eff, b_eff} keeps y >= 0, so
         # S(min) <= dd/dlam <= S(max); the bracket lambda_of_x takes from
         # d(0) then holds the root, up to the rounding of d (a few ulps of
         # the flow's largest term).  Below |d(0)| = 1e-10 it takes none.
-        # The draws leave out two known flow defects, each pinned by an
-        # xfail test in test_exactflow.py: effective slopes 0 < |p| < 0.01,
-        # where linear_zone_flow loses |q/p| ulps, and starts on +-1.
+        # The draws leave out starts on +-1, a known flow defect pinned by
+        # an xfail test in test_exactflow.py.
         p = Params(a=a, b=b, mu=mu, eps=eps, lam=lam)
-        s_lo, s_hi = (_bias_gain(s, TWO_PI) for s in sorted((p.a_eff, p.b_eff)))
+        s_lo, s_hi = (linear_zone_flow(ZoneCoeffs(s, 1.0), 0.0, 0.0, 0.0, TWO_PI)
+                      for s in sorted((p.a_eff, p.b_eff)))
         slope = _bias_derivative(p, advance(p, 0.0, x, TWO_PI))
         assert s_lo * (1.0 - 1e-12) <= slope <= s_hi * (1.0 + 1e-12)
         d0 = displacement_d(dataclasses.replace(p, lam=0.0), x)

@@ -51,12 +51,12 @@ class TestLinearZoneFlow:
         assert linear_zone_flow(z, 0.0, 0.0, 1.0, 1.0) == pytest.approx(math.exp(-1), rel=1e-14)
 
     def test_degenerate_exponent_form(self):
-        # p below the threshold must agree with a slightly larger p
-        z0 = ZoneCoeffs(0.0, 0.3)
-        z1 = ZoneCoeffs(1e-9, 0.3)
-        a = linear_zone_flow(z0, 1.1, 0.2, 0.4, 5.0)
-        b = linear_zone_flow(z1, 1.1, 0.2, 0.4, 5.0)
-        assert a == pytest.approx(b, abs=1e-8)
+        # the exact p = 0 form and the exponential form at p = 1e-9, each
+        # against its value at 50 mpmath digits (they differ by 1.18e-8)
+        a = linear_zone_flow(ZoneCoeffs(0.0, 0.3), 1.1, 0.2, 0.4, 5.0)
+        b = linear_zone_flow(ZoneCoeffs(1e-9, 0.3), 1.1, 0.2, 0.4, 5.0)
+        assert a == pytest.approx(2.6060448316158169, abs=1e-14)
+        assert b == pytest.approx(2.6060448434399214, abs=1e-14)
 
 
     def test_saturates_to_the_side_of_the_periodic_solution(self):
@@ -276,13 +276,11 @@ class TestContactSearchEdges:
             us = sample(p, traj, np.linspace(seg.t_start, seg.t_end, 101)[1:-1])
             assert np.all((lo - 1e-12 <= us) & (us <= hi + 1e-12))
 
-    @pytest.mark.xfail(strict=True, raises=ZoneSwitchLimitError,
-                       reason="known defect: linear_zone_flow's (q/p)*(e - 1) loses |q/p| "
-                       "ulps for small nonzero p")
     def test_tiny_nondegenerate_slope(self):
-        # p = 1e-9 is above P_DEGENERATE; e - 1 rounds to a multiple of
-        # 2.2e-16 and |q/p| = 1e9 scales that to 1e-7, so contact and probe
-        # values disagree and the contacts repeat up to MAX_SWITCHES
+        # p = 1e-9 is above P_DEGENERATE: exp(p*dt) - 1 would round to a
+        # multiple of 2.2e-16 and |q/p| = 1e9 scale that to 1e-7, enough for
+        # contact and probe values to disagree and the contacts to repeat up
+        # to MAX_SWITCHES; expm1 keeps the flow exact there
         traj = advance(Params(a=1, b=1, mu=1, eps=1e-9, lam=-1), 0.0, 0.0, TWO_PI)
         assert traj.final_state == pytest.approx(-TWO_PI, abs=1e-6)
 

@@ -21,7 +21,7 @@ from satcycles import (
     linear_zone_flow,
     poincare_P,
 )
-from satcycles import poincare
+from satcycles import crossings, poincare
 from satcycles.gridscan import scan_roots
 
 TWO_PI = 2.0 * math.pi
@@ -92,7 +92,7 @@ class TestDerivative:
         h = 1e-6
         fd = (poincare_P(dataclasses.replace(p, lam=lam + h), x)
               - poincare_P(dataclasses.replace(p, lam=lam - h), x)) / (2 * h)
-        assert poincare._bias_derivative(p, traj) == pytest.approx(fd, rel=1e-8)
+        assert crossings._bias_derivative(p, traj) == pytest.approx(fd, rel=1e-8)
 
 
 class TestRegime:
