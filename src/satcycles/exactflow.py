@@ -2,11 +2,11 @@
 
 Inside one linearity zone the equation reduces to x' = p*x + q + mu*sin(t),
 whose solution is elementary.  Trajectories are assembled by chaining that
-closed form between zone-boundary contacts, located by a uniform scan and
-refined by Newton on the exact slope; a contact switches zones only when
-the flow actually leaves the zone (tangential grazes are skipped).  The
-flow maps one initial value at a time; only the contact scan evaluates the
-closed form on an array of times.
+closed form between zone-boundary contacts, located on a uniform scan whose
+candidate cells are flagged on arrays (an O(1) window test first rules out
+windows with none) and refined by Newton on the exact slope; a contact
+switches zones only when the flow leaves the zone (tangential grazes are
+skipped).  Only the contact scan evaluates the closed form on arrays.
 """
 
 from __future__ import annotations
@@ -184,6 +184,20 @@ def _reach(p, q, mu, x, span, h):
     return abs(mu) * h * h / (1.0 - ph) + 2.0 * TOUCH_VALUE_TOL + REACH_ROUNDING * size
 
 
+def _clear_window(p, q, mu, tau, x, levels, t_max):
+    """Whether the flow from x at tau (|p| >= P_DEGENERATE) surely meets no
+    level on [tau, t_max].  u(s) - lv = (K - lv) + E*e**(p*(s - tau)) -
+    R*cos(s - phi) with K = -q/p, E = x - v(tau), R = |mu|/sqrt(p**2 + 1), and
+    the first two terms are monotone: it suffices that at both ends they keep
+    one sign and exceed R plus ``_reach``'s margin for a cell of width 0."""
+    c = p * p + 1.0
+    gap = x + q / p + mu * (p * math.sin(tau) + math.cos(tau)) / c  # E
+    e_end = _exp(p * (t_max - tau))
+    margin = abs(mu) / math.sqrt(c) + _reach(p, q, mu, x, t_max - tau, 0.0)
+    ends = [(-q / p - lv + gap, -q / p - lv + gap * e_end) for lv in levels]
+    return all(min(m) > margin or max(m) < -margin for m in ends)
+
+
 def _within_reach(reach, u_l, u_r, levels):
     """Whether a level lies within ``reach`` of the nearer end of a cell."""
     return not all(min(abs(u_l - lv), abs(u_r - lv)) > reach for lv in levels)
@@ -194,6 +208,8 @@ def _next_contact(z, mu, tau, x, levels, t_max):
 
     Returns (time, level) or None.  Both transversal crossings and
     tangential touches (flow extremum landing on a level) are contacts.
+    Unless ``_clear_window`` rules them out, the scan cells where u' or the
+    side of a level changes, or that end on a level, are examined in order.
     Crossing times are refined on (u - level, u') and extremum times on
     (u', u''), with u' = p*u + q + mu*sin(t) and u'' = p*u' + mu*cos(t).  A
     cell whose extremum ``_reach`` puts out of reach of every level is not
@@ -215,6 +231,8 @@ def _next_contact(z, mu, tau, x, levels, t_max):
                 break
         else:
             return None  # flow is glued to the boundary; nothing to report
+    elif abs(p) >= P_DEGENERATE and _clear_window(p, q, mu, tau, x, levels, t_max):
+        return None
 
     step = TWO_PI / SCAN_PER_PERIOD
     n = max(1, int(math.ceil((t_max - t_ref) / step - 1e-12)))
@@ -234,11 +252,18 @@ def _next_contact(z, mu, tau, x, levels, t_max):
         du = p * linear_zone_flow(z, mu, tau, x, s) + q + mu * math.sin(s)
         return du, p * du + mu * math.cos(s)
 
-    t_l, u_l = t_ref, u_ref
-    du_l = p * u_l + q + mu * math.sin(t_l)
-    for t_r, u_r, du_r in zip(ts.tolist(), us.tolist(), dus.tolist()):
-        if t_r <= t_l:
-            continue
+    # Rows t, u, u' from the reference point on.  The flags repeat the walk's
+    # own float comparisons, so every cell whose body can find a contact is kept.
+    cells = np.concatenate(([[t_ref], [u_ref], [p * u_ref + q + mu * math.sin(t_ref)]],
+                            (ts, us, dus)), axis=1)
+    ts, us, dus = cells
+    flagged = (dus[:-1] > 0.0) != (dus[1:] > 0.0)
+    for lv in levels:
+        above = us > lv
+        flagged |= (above[:-1] != above[1:]) | (us[1:] == lv)
+    flagged &= ts[1:] > ts[:-1]
+    for i in np.flatnonzero(flagged).tolist():
+        (t_l, u_l, du_l), (t_r, u_r, du_r) = cells[:, i:i + 2].T.tolist()
         candidates = []
         # Derivative changes sign: the extremum may sit on a level (a touch),
         # or cross it and come back within the cell (a short excursion that
@@ -262,7 +287,6 @@ def _next_contact(z, mu, tau, x, levels, t_max):
                 candidates.append((contact(lv, t_l, t_r, g_l > 0.0), lv))
         if candidates:
             return min(candidates)
-        t_l, u_l, du_l = t_r, u_r, du_r
     return None
 
 

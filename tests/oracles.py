@@ -8,6 +8,8 @@ never touches the package's interval algebra).  Because the integrand has
 corners, a plain uniform trapezoid rule stalls at O(h^2); panels are
 therefore aligned to the corners and carry the standard endpoint-derivative
 correction, which restores O(h^4) while staying a trapezoid-based rule.
+``reference_next_contact`` is the contact search as a Python walk over
+every scan cell, which ``exactflow._next_contact`` must match bitwise.
 ``read_csv`` parses the CSV files the command line writes.
 """
 
@@ -15,7 +17,17 @@ import math
 
 import numpy as np
 
-from satcycles import Params, advance, dP, half_Q, poincare_P
+from satcycles import Params, advance, dP, half_Q, linear_zone_flow, poincare_P
+from satcycles.exactflow import (
+    CROSSING_TIME_TOL,
+    GRAZE_PROBE_DT,
+    SCAN_PER_PERIOD,
+    TOUCH_VALUE_TOL,
+    _newton_bracket,
+    _reach,
+    _saturating,
+    _within_reach,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,6 +193,85 @@ def dp_fd_worst_rel(p, n=100, seed=42, span=4.0, h=1e-5):
         fd = (poincare_P(p, x + h) - poincare_P(p, x - h)) / (2.0 * h)
         worst = max(worst, abs(exact - fd) / max(abs(exact), 1e-30))
     return worst
+
+
+def reference_next_contact(z, mu, tau, x, levels, t_max):
+    """The contact search as a walk over every scan cell.
+
+    Earliest time in (tau, t_max] where the in-zone flow meets any level.
+
+    Returns (time, level) or None.  Both transversal crossings and
+    tangential touches (flow extremum landing on a level) are contacts.
+    Crossing times are refined on (u - level, u') and extremum times on
+    (u', u''), with u' = p*u + q + mu*sin(t) and u'' = p*u' + mu*cos(t).  A
+    cell whose extremum ``_reach`` puts out of reach of every level is not
+    refined: it can hold no contact.
+    """
+    if not t_max > tau:
+        return None
+    p, q = z.p, z.q
+
+    # Starting exactly on a queried level: establish the departure side a
+    # hair later so the sign scan has a nonzero reference.
+    t_ref, u_ref = tau, x
+    if any(x == lv for lv in levels):
+        for off in (GRAZE_PROBE_DT, TWO_PI / SCAN_PER_PERIOD / 16.0):
+            t_probe = min(tau + off, t_max)
+            u_probe = linear_zone_flow(z, mu, tau, x, t_probe)
+            if all(u_probe != lv for lv in levels):
+                t_ref, u_ref = t_probe, u_probe
+                break
+        else:
+            return None  # flow is glued to the boundary; nothing to report
+
+    step = TWO_PI / SCAN_PER_PERIOD
+    n = max(1, int(math.ceil((t_max - t_ref) / step - 1e-12)))
+    ts = t_ref + step * np.arange(1, n + 1)
+    ts[-1] = t_max
+    with _saturating():
+        us = linear_zone_flow(z, mu, tau, x, ts)
+        dus = p * us + q + mu * np.sin(ts)
+
+    def contact(lv, lo, hi, lo_pos):
+        def gap(s):
+            u = linear_zone_flow(z, mu, tau, x, s)
+            return u - lv, p * u + q + mu * math.sin(s)
+        return _newton_bracket(gap, lo, hi, lo_pos, CROSSING_TIME_TOL)
+
+    def slopes(s):
+        du = p * linear_zone_flow(z, mu, tau, x, s) + q + mu * math.sin(s)
+        return du, p * du + mu * math.cos(s)
+
+    t_l, u_l = t_ref, u_ref
+    du_l = p * u_l + q + mu * math.sin(t_l)
+    for t_r, u_r, du_r in zip(ts.tolist(), us.tolist(), dus.tolist()):
+        if t_r <= t_l:
+            continue
+        candidates = []
+        # Derivative changes sign: the extremum may sit on a level (a touch),
+        # or cross it and come back within the cell (a short excursion that
+        # the value test below cannot see).
+        if (du_l > 0.0) != (du_r > 0.0) and _within_reach(
+                _reach(p, q, mu, x, t_max - tau, t_r - t_l), u_l, u_r, levels):
+            t_ext = _newton_bracket(slopes, t_l, t_r, du_l > 0.0, CROSSING_TIME_TOL)
+            u_ext = linear_zone_flow(z, mu, tau, x, t_ext)
+            for lv in levels:
+                g_l, g_r, g_ext = u_l - lv, u_r - lv, u_ext - lv
+                if abs(g_ext) <= TOUCH_VALUE_TOL:
+                    candidates.append((t_ext, lv))
+                elif g_r != 0.0 and (g_r > 0.0) == (g_l > 0.0) != (g_ext > 0.0):
+                    candidates.append((contact(lv, t_l, t_ext, g_l > 0.0), lv))
+        # Transversal crossing: value changes side.
+        for lv in levels:
+            g_l, g_r = u_l - lv, u_r - lv
+            if g_r == 0.0:
+                candidates.append((t_r, lv))
+            elif (g_l > 0.0) != (g_r > 0.0):
+                candidates.append((contact(lv, t_l, t_r, g_l > 0.0), lv))
+        if candidates:
+            return min(candidates)
+        t_l, u_l, du_l = t_r, u_r, du_r
+    return None
 
 
 def read_csv(path):

@@ -5,6 +5,7 @@ import pytest
 
 from satcycles import (
     INNER,
+    LOWER,
     UPPER,
     Params,
     ZoneCoeffs,
@@ -19,9 +20,16 @@ from satcycles import (
     zone_coeffs,
 )
 from satcycles import exactflow
-from satcycles.exactflow import _next_contact
+from satcycles.exactflow import (
+    _ZONE_EXITS,
+    GRAZE_PROBE_DT,
+    P_DEGENERATE,
+    TOUCH_VALUE_TOL,
+    _clear_window,
+    _next_contact,
+)
 
-from oracles import rk4_oracle
+from oracles import reference_next_contact, rk4_oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -344,6 +352,107 @@ class TestReachTest:
         # M2*h^2 with M2 = |mu|/(1 - |p|*h), plus the touch tolerance twice
         h = TWO_PI / 256
         assert bounds[0] == pytest.approx(1.2 * h * h / (1 - h), rel=1e-6)
+
+
+def _contact_draws():
+    """Seeded (z, mu, tau, x, levels, t_max) searches over all three zones:
+    random parameters, every seventh start on a level, every eleventh window
+    shorter than GRAZE_PROBE_DT, and the saturating upper zone of a = 200."""
+    rng = np.random.default_rng(21)
+    bands = {LOWER: (-4.0, -1.0), INNER: (-1.0, 1.0), UPPER: (1.0, 4.0)}
+    for k in range(1800):
+        a, b = rng.uniform(-3.0, 3.0, 2)
+        lam = 0.0 if k % 2 else rng.uniform(-1.0, 1.0)
+        p = Params(a=a, b=b, mu=rng.uniform(0.0, 3.0), eps=(1.0, 0.3, 0.05)[k % 3], lam=lam)
+        zone = (LOWER, INNER, UPPER)[rng.integers(3)]
+        levels = _ZONE_EXITS[zone]
+        x = levels[rng.integers(len(levels))] if k % 7 == 0 else rng.uniform(*bands[zone])
+        tau = rng.uniform(0.0, TWO_PI)
+        span = rng.uniform(0.0, GRAZE_PROBE_DT) if k % 11 == 0 else rng.uniform(0.0, 2.0 * TWO_PI)
+        yield zone_coeffs(p, zone), p.mu, tau, x, levels, tau + span
+    p = Params(a=200, b=-1, mu=1)
+    for x in np.linspace(1.0, 4.0, 40).tolist():
+        yield zone_coeffs(p, UPPER), p.mu, 0.0, x, (1.0,), TWO_PI
+        yield zone_coeffs(p, UPPER), p.mu, 1.0, x, (1.0,), 1.0 + rng.uniform(0.0, TWO_PI)
+
+
+class TestFlaggedCells:
+    """The window test and the flagged-cell walk return what the walk over
+    every scan cell returns (``oracles.reference_next_contact``)."""
+
+    def test_same_contact_as_the_walk_over_every_cell(self, monkeypatch):
+        draws = list(_contact_draws())
+        # and every search advance makes on the near-touch inner cycles
+        search = exactflow._next_contact
+
+        def spy(*args):
+            draws.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(exactflow, "_next_contact", spy)
+        for p, tau, x, t in TestReachTest._cases():
+            advance(p, tau, x, t)
+        monkeypatch.undo()
+        assert len(draws) >= 2000
+        for args in draws:
+            assert _next_contact(*args) == reference_next_contact(*args), args
+
+    def test_a_cleared_window_stays_off_every_level(self):
+        cleared = 0
+        for z, mu, tau, x, levels, t_max in _contact_draws():
+            if x in levels or abs(z.p) < P_DEGENERATE:
+                continue
+            if _clear_window(z.p, z.q, mu, tau, x, levels, t_max):
+                cleared += 1
+                us = linear_zone_flow(z, mu, tau, x, np.linspace(tau, t_max, 20001))
+                for lv in levels:
+                    assert (us - lv > TOUCH_VALUE_TOL).all() or (lv - us > TOUCH_VALUE_TOL).all()
+        assert cleared >= 100
+
+    def test_a_cleared_window_builds_no_scan(self, monkeypatch):
+        # x = 5 decays onto the upper periodic orbit 2 - 0.6*(cos t - sin t)
+        p = Params(-1, 1, 1.2)
+        times = []
+        flow = exactflow.linear_zone_flow
+
+        def spy(z, mu, tau, x, t):
+            times.append(t)
+            return flow(z, mu, tau, x, t)
+
+        monkeypatch.setattr(exactflow, "linear_zone_flow", spy)
+        assert advance(p, 0.0, 5.0, TWO_PI).segments[0].zone == UPPER
+        assert times and not any(isinstance(t, np.ndarray) for t in times)
+
+    def test_a_start_on_a_level_is_never_cleared(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(exactflow, "_clear_window", lambda *args: asked.append(args) or True)
+        on_level = [d for d in _contact_draws() if d[3] in d[4]]
+        assert len(on_level) > 200
+        for args in on_level:
+            assert _next_contact(*args) == reference_next_contact(*args), args
+        assert asked == []
+
+    def test_a_scan_value_on_a_level_is_the_contact(self):
+        # u = x + t/2 from tau = 0 lands exactly on 1 at the k-th scan time
+        step = TWO_PI / exactflow.SCAN_PER_PERIOD
+        for t in (step * np.arange(1, 8)).tolist():
+            args = (ZoneCoeffs(0.0, 0.5), 0.0, 0.0, 1.0 - 0.5 * t, (1.0, -1.0), 1.0)
+            assert _next_contact(*args) == reference_next_contact(*args) == (t, 1.0)
+
+    def test_zero_width_cell_after_a_clipped_probe(self, monkeypatch):
+        # t_max - tau < GRAZE_PROBE_DT: the probe lands on t_max, so the one
+        # scan cell starts and ends there
+        assert _next_contact(ZoneCoeffs(0.0, 0.0), 1.0, 0.0, 1.0, (1.0,), 5e-10) is None
+        assert _next_contact(ZoneCoeffs(-1.0, 0.0), 1.0, 0.0, 1.0, (1.0, -1.0), 5e-10) is None
+        # the cell is skipped even where the array flow ends it on the level
+        # while the scalar probe at the same time does not
+        flow = exactflow.linear_zone_flow
+
+        def on_level_in_arrays(z, mu, tau, x, t):
+            return np.ones_like(t) if isinstance(t, np.ndarray) else flow(z, mu, tau, x, t)
+
+        monkeypatch.setattr(exactflow, "linear_zone_flow", on_level_in_arrays)
+        assert _next_contact(ZoneCoeffs(-1.0, 0.0), 1.0, 0.0, 1.0, (1.0, -1.0), 5e-10) is None
 
 
 class TestZoneCoeffs:
